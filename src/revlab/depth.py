@@ -5,10 +5,13 @@ D) and exact only under the assumption that a program not halting within
 D steps never halts.  The machinery:
 
   * a persistent RunLedger caching interpreter runs keyed by
-    (universal digest, bits, aux, D);
+    (universal digest, bits, aux, D): an append-only JSONL file holding
+    only the runs actually executed;
   * one shared sweep per (L, D, aux): every bit string of length <= L is
     run for up to D steps, and the exactly-consumed halting runs form
-    the program table all queries scan;
+    the program table all queries scan.  Only the tape-exhausted
+    frontier is executed; every other string is re-derived in memory
+    from its parent's run;
   * the literal-print program of x is always seeded as a candidate, even
     beyond L, which keeps k_upper below the print bound whenever the
     step budget allows the print run at all.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -116,16 +120,28 @@ class GrowthTable:
 
 
 class RunLedger:
-    """Cache of interpreter runs, persisted as one JSONL file per digest.
+    """Cache of executed interpreter runs, persisted per digest.
 
     Hits are bit-identical to recomputation: the key is the exact query
-    (bits, aux, budget) and the stored value the full result.
+    (bits, aux, budget) and the stored value the full result.  Only runs
+    this ledger executed (misses in ``run``) are persisted; the sweep
+    re-derives every other string from its parent in memory.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
+        """Load ``<cache_dir>/<digest>.jsonl`` when a directory is given.
+
+        The file is append-only JSONL, one executed run per line.  Ledgers
+        sharing a directory append concurrently, so a key may appear on
+        several identical lines; the last line per key wins.  An
+        unparseable last line (a save cut short by a crash) is skipped
+        with a warning on stderr; a bad line anywhere else raises.
+        """
         self.digest = universal_machine().digest
         self._mem: dict[tuple[str, str, int], PrefixRunResult] = {}
-        self._dirty = 0
+        self._fresh: list[tuple[str, str, int]] = []
+        # (offset, file size) of a skipped truncated tail, cut by save()
+        self._torn: Optional[tuple[int, int]] = None
         self.path: Optional[Path] = None
         if cache_dir is not None:
             self.path = Path(cache_dir) / f"{self.digest}.jsonl"
@@ -134,14 +150,25 @@ class RunLedger:
     def _load(self) -> None:
         if self.path is None or not self.path.exists():
             return
-        with self.path.open() as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
+        data = self.path.read_bytes()
+        lines = data.split(b"\n")
+        while lines and not lines[-1].strip():
+            lines.pop()
+        for n, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
                 e = json.loads(line)
-                key = (e["bits"], e["aux"], e["budget"])
-                self._mem[key] = PrefixRunResult(
-                    e["outcome"], e["program"], e["output"], e["steps"])
+            except ValueError as exc:
+                if n < len(lines):
+                    raise ValueError(f"{self.path}:{n}: corrupt ledger line: {exc}") from exc
+                print(f"warning: {self.path}:{n}: skipping truncated last line",
+                      file=sys.stderr)
+                self._torn = (sum(len(x) + 1 for x in lines[:-1]), len(data))
+                break
+            key = (e["bits"], e["aux"], e["budget"])
+            self._mem[key] = PrefixRunResult(
+                e["outcome"], e["program"], e["output"], e["steps"])
 
     def run(self, bits: str, aux: str, budget: int) -> PrefixRunResult:
         key = (bits, aux, budget)
@@ -149,28 +176,47 @@ class RunLedger:
         if hit is None:
             hit = universal_run(bits, aux, budget)
             self._mem[key] = hit
-            self._dirty += 1
+            self._fresh.append(key)
         return hit
 
     def put(self, bits: str, aux: str, budget: int, result: PrefixRunResult) -> None:
-        """Record a result known to equal recomputation (derived runs)."""
-        key = (bits, aux, budget)
-        if key not in self._mem:
-            self._mem[key] = result
-            self._dirty += 1
+        """Record a result known to equal recomputation, in memory only."""
+        self._mem.setdefault((bits, aux, budget), result)
 
     def save(self) -> None:
-        if self.path is None or not self._dirty:
+        """Append the runs executed since the last save to the file.
+
+        The batch goes out in one write to a file opened for appending,
+        after a newline when the file does not end in one, so concurrent
+        savers never clobber each other.  Stored lines are never
+        rewritten, so no temp file or ``os.replace`` is needed; only a
+        truncated tail skipped at load is cut off first, unless the file
+        has grown since.
+        """
+        if self.path is None or not self._fresh:
             return
+        lines = []
+        for bits, aux, budget in self._fresh:
+            r = self._mem[(bits, aux, budget)]
+            lines.append(json.dumps(
+                {"bits": bits, "aux": aux, "budget": budget,
+                 "outcome": r.outcome, "program": r.program,
+                 "output": r.output, "steps": r.steps},
+                sort_keys=True) + "\n")
+        data = "".join(lines).encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("w") as fh:
-            for (bits, aux, budget), r in sorted(self._mem.items()):
-                fh.write(json.dumps(
-                    {"bits": bits, "aux": aux, "budget": budget,
-                     "outcome": r.outcome, "program": r.program,
-                     "output": r.output, "steps": r.steps},
-                    sort_keys=True) + "\n")
-        self._dirty = 0
+        with self.path.open("ab+", buffering=0) as fh:
+            end = fh.seek(0, os.SEEK_END)
+            if self._torn is not None and self._torn[1] == end:
+                end = fh.truncate(self._torn[0])
+            if end:
+                fh.seek(end - 1)
+                if fh.read(1) != b"\n":
+                    data = b"\n" + data
+            if fh.write(data) != len(data):
+                raise OSError(f"{self.path}: short write while appending runs")
+        self._fresh.clear()
+        self._torn = None
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -222,7 +268,9 @@ class DepthLab:
         A string extending a prefix whose run already halted or exceeded
         the budget runs identically (the machine never looks at the
         extension), so only the tape-exhausted frontier is executed
-        afresh; the equivalence is asserted in the tests.  Worker
+        afresh, through the ledger; derived runs live only in this
+        sweep's table, never in the ledger.  The equivalence is asserted
+        in the tests.  Worker
         partitions are processed independently and merged in canonical
         (length, lexicographic) order; with pure deterministic runs the
         partitioning is unobservable.
@@ -239,7 +287,6 @@ class DepthLab:
                 parent = local.get(bits[:-1]) if bits else None
                 if parent is not None and parent.outcome != TAPE_EXHAUSTED:
                     local[bits] = parent
-                    self.ledger.put(bits, aux, budget.max_steps, parent)
                 else:
                     local[bits] = self.run_one(bits, aux, budget.max_steps)
             results.update(local)
@@ -467,51 +514,3 @@ class DepthLab:
 
 def _binary_strings(n: int) -> list[str]:
     return [format(k, f"0{n}b") for k in range(2 ** n)] if n else [""]
-
-
-# Convenience wrappers over a process-default lab (no persistence).
-
-_default_lab: DepthLab | None = None
-
-
-def default_lab() -> DepthLab:
-    global _default_lab
-    if _default_lab is None:
-        _default_lab = DepthLab()
-    return _default_lab
-
-
-def k_bounded(x: str, budget: Budget, aux: str = "") -> ComplexityRecord | NoWitness:
-    return default_lab().k_bounded(x, budget, aux)
-
-
-def shortest_programs(x: str, budget: Budget, aux: str = "") -> tuple[str, ...] | NoWitness:
-    return default_lab().shortest_programs(x, budget, aux)
-
-
-def incompressible_programs(x: str, b: int, budget: Budget,
-                            aux: str = "") -> IncompressibleSet | NoWitness:
-    return default_lab().incompressible_programs(x, b, budget, aux)
-
-
-def logical_depth_general(x: str, b: int, budget: Budget,
-                          aux: str = "") -> DepthRecord | NoWitness:
-    return default_lab().logical_depth_general(x, b, budget, aux)
-
-
-def logical_depth_reversible(x: str, b: int, budget: Budget,
-                             aux: str = "") -> DepthRecord | NoWitness:
-    return default_lab().logical_depth_reversible(x, b, budget, aux)
-
-
-def psi_table(n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
-    return default_lab().psi_table(n_max, budget, aux)
-
-
-def phi_table(n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
-    return default_lab().phi_table(n_max, budget, aux)
-
-
-def f_table(n_max: int, budget: Budget, aux: str = "",
-            variant: str = "reversible") -> GrowthTable:
-    return default_lab().f_table(n_max, budget, aux, variant)

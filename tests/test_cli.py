@@ -6,6 +6,7 @@ import pytest
 
 from revlab.cli import EXIT_INVALID, EXIT_NO_WITNESS, EXIT_OK, EXIT_USAGE, main
 from revlab.corpus import corpus_entry
+from revlab.depth import RunLedger
 from revlab.machfmt import serialize_machine
 
 
@@ -194,6 +195,32 @@ def test_cache_dir_roundtrip(capsys, tmp_path):
     assert list(tmp_path.iterdir())
     rc, second, _ = run_cli(capsys, argv)
     assert first[0]["payload"] == second[0]["payload"]
+
+
+def test_truncated_ledger_tail_is_skipped_then_cut(capsys, tmp_path):
+    argv = ["depth", "k", "0", "--max-len", "8", "--budget", "1000",
+            "--cache-dir", str(tmp_path)]
+    rc, first, _ = run_cli(capsys, argv)
+    assert rc == EXIT_OK
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    entries = data.count(b"\n")
+    path.write_bytes(data[:-20])  # a save cut off mid-line
+
+    assert len(RunLedger(tmp_path)) == entries - 1
+    assert "truncated last line" in capsys.readouterr().err
+
+    # The query runs the lost program again; its save cuts the torn tail.
+    rc, second, err = run_cli(capsys, argv)
+    assert rc == EXIT_OK
+    assert "truncated last line" in err
+    assert second[0]["payload"] == first[0]["payload"]
+
+    assert len(RunLedger(tmp_path)) == entries
+    assert capsys.readouterr().err == ""
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == entries
+    assert all(json.loads(line) for line in lines)
 
 
 def test_corpus_list(capsys):

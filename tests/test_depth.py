@@ -311,6 +311,45 @@ def test_ledger_hits_identical_to_recomputation(tmp_path):
         assert r == universal_run(bits, "", 500)
 
 
+def test_ledgers_sharing_a_cache_keep_each_others_runs(tmp_path, monkeypatch):
+    a, b = RunLedger(tmp_path), RunLedger(tmp_path)
+    ra = a.run(print_program("0101"), "", 3000)
+    a.save()
+    rb = b.run(print_program("1110"), "", 3000)
+    b.save()
+
+    fresh = RunLedger(tmp_path)
+    assert len(fresh) == 2
+
+    def no_runs(*args):
+        raise AssertionError(f"unexpected run {args}")
+
+    monkeypatch.setattr("revlab.depth.universal_run", no_runs)
+    assert fresh.run(print_program("0101"), "", 3000) == ra
+    assert fresh.run(print_program("1110"), "", 3000) == rb
+
+
+def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(bits, aux, budget):
+        calls.append(bits)
+        return universal_run(bits, aux, budget)
+
+    monkeypatch.setattr("revlab.depth.universal_run", counting)
+    cold = DepthLab(ledger=RunLedger(tmp_path))
+    table = cold.sweep(QUICK)
+    cold.ledger.save()
+    (path,) = tmp_path.iterdir()
+    assert calls
+    assert path.read_text().count("\n") == len(calls)
+
+    calls.clear()
+    warm = DepthLab(ledger=RunLedger(tmp_path))
+    assert warm.sweep(QUICK) == table
+    assert calls == []
+
+
 # --- upper-bound sanity ------------------------------------------------------------
 
 def test_k_upper_within_log_bound_up_to_len_eight(lab):

@@ -217,7 +217,7 @@ def cmd_univ_check_prefix(args, out: Emitter) -> int:
 def _make_lab(args) -> DepthLab:
     cache = args.cache_dir or os.environ.get("REVLAB_CACHE")
     ledger = RunLedger(cache) if cache else RunLedger()
-    return DepthLab(ledger=ledger, workers=args.workers)
+    return DepthLab(ledger=ledger)
 
 
 def _budget(args) -> Budget:
@@ -291,9 +291,7 @@ def cmd_corpus_export(args, out: Emitter) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _add_workers_cache(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1,
-                   help="partition enumeration across N workers")
+def _add_cache_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cache-dir", default=None,
                    help="run-ledger directory (or set REVLAB_CACHE)")
 
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     dk.add_argument("--aux", default="")
     dk.add_argument("--max-len", type=int, required=True)
     dk.add_argument("--budget", type=int, required=True)
-    _add_workers_cache(dk)
+    _add_cache_dir(dk)
     dk.set_defaults(fn=cmd_depth_k)
     dl = dsub.add_parser("ld")
     dl.add_argument("x")
@@ -368,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     dl.add_argument("--aux", default="")
     dl.add_argument("--max-len", type=int, required=True)
     dl.add_argument("--budget", type=int, required=True)
-    _add_workers_cache(dl)
+    _add_cache_dir(dl)
     dl.set_defaults(fn=cmd_depth_ld)
     dt = dsub.add_parser("table")
     dt.add_argument("kind", choices=("psi", "phi", "f"))
@@ -378,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     dt.add_argument("--aux", default="")
     dt.add_argument("--max-len", type=int, required=True)
     dt.add_argument("--budget", type=int, required=True)
-    _add_workers_cache(dt)
+    _add_cache_dir(dt)
     dt.set_defaults(fn=cmd_depth_table)
 
     corp = sub.add_parser("corpus", help="bundled machine corpus")

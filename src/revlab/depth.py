@@ -19,7 +19,7 @@ D steps never halts.  The machinery:
 Candidate sets respect exact consumption: a bit string counts as a
 program for x only when the run halts having scanned precisely that
 string.  Tie-breaks are (steps, length, lexicographic) everywhere, so
-results are independent of enumeration order and worker partitioning.
+results are independent of enumeration order.
 
 The general-variant depth uses permissive incompressibility: a producer
 p qualifies at significance b when |p| <= k_upper(p) + b with k_upper
@@ -227,27 +227,11 @@ def _check_binary(x: str, what: str = "string") -> None:
         raise ValueError(f"{what} must be binary, got {x!r}")
 
 
-def _partition(items: list[str], workers: int) -> list[list[str]]:
-    """Split bit strings by leading-bit bucket so that a string and its
-    parent prefix land in the same partition (keeps the sweep's
-    prefix-derivation local to a worker)."""
-    workers = max(1, workers)
-    if workers == 1:
-        return [items]
-    k = max(1, (workers - 1).bit_length())
-    parts: list[list[str]] = [[] for _ in range(workers)]
-    for s in items:
-        bucket = int(s[:k], 2) % workers if len(s) >= k else 0
-        parts[bucket].append(s)
-    return parts
-
-
 @dataclass
 class DepthLab:
     """Shared sweep state for all depth-lab operations."""
 
     ledger: RunLedger = field(default_factory=RunLedger)
-    workers: int = 1
     _sweeps: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -270,29 +254,22 @@ class DepthLab:
         extension), so only the tape-exhausted frontier is executed
         afresh, through the ledger; derived runs live only in this
         sweep's table, never in the ledger.  The equivalence is asserted
-        in the tests.  Worker
-        partitions are processed independently and merged in canonical
-        (length, lexicographic) order; with pure deterministic runs the
-        partitioning is unobservable.
+        in the tests.  The table is in canonical (length, lexicographic)
+        order.
         """
         key = (budget.max_len, budget.max_steps, aux)
         cached = self._sweeps.get(key)
         if cached is not None:
             return cached
-        programs = all_bit_strings(budget.max_len)
-        results: dict[str, PrefixRunResult] = {}
-        for part in _partition(programs, self.workers):
-            local: dict[str, PrefixRunResult] = {}
-            for bits in part:
-                parent = local.get(bits[:-1]) if bits else None
-                if parent is not None and parent.outcome != TAPE_EXHAUSTED:
-                    local[bits] = parent
-                else:
-                    local[bits] = self.run_one(bits, aux, budget.max_steps)
-            results.update(local)
-        ordered = {bits: results[bits] for bits in programs}
-        self._sweeps[key] = ordered
-        return ordered
+        table: dict[str, PrefixRunResult] = {}
+        for bits in all_bit_strings(budget.max_len):
+            parent = table.get(bits[:-1]) if bits else None
+            if parent is not None and parent.outcome != TAPE_EXHAUSTED:
+                table[bits] = parent
+            else:
+                table[bits] = self.run_one(bits, aux, budget.max_steps)
+        self._sweeps[key] = table
+        return table
 
     def exact_halters(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
         """Halting runs that consumed exactly their bit string."""
@@ -314,16 +291,16 @@ class DepthLab:
         if programs is None:
             return list(self.sweep(budget, aux).values())
         ordered = sorted(set(programs), key=lambda p: (len(p), p))
-        for part in _partition(ordered, self.workers):
-            for bits in part:
-                self.run_one(bits, aux, budget.max_steps)
         return [self.run_one(bits, aux, budget.max_steps) for bits in ordered]
 
     # -- producers ----------------------------------------------------------
 
     def _producers(self, x: str, budget: Budget, aux: str) -> dict[str, PrefixRunResult]:
         """Programs whose run halts with output x, seeded with the literal
-        printer even when it is longer than L."""
+        printer even when it is longer than L.  x and aux are checked
+        before anything runs."""
+        _check_binary(x)
+        _check_binary(aux, "aux")
         table = self.exact_halters(budget, aux)
         out = {p: r for p, r in table.items() if r.output == x}
         seed = print_program(x)
@@ -337,8 +314,6 @@ class DepthLab:
 
     def k_bounded(self, x: str, budget: Budget,
                   aux: str = "") -> ComplexityRecord | NoWitness:
-        _check_binary(x)
-        _check_binary(aux, "aux")
         producers = self._producers(x, budget, aux)
         if not producers:
             return NoWitness(x, aux, budget, "no producing program within budget")

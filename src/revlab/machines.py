@@ -360,6 +360,7 @@ def step(m: Machine, c: Configuration) -> Optional[Configuration]:
 
 HALTED = "halted"
 BUDGET_EXCEEDED = "budget-exceeded"
+TAPE_EXHAUSTED = "tape-exhausted"
 
 
 @dataclass(frozen=True)
@@ -370,62 +371,65 @@ class RunResult:
     output: str
 
 
+def blank_free_prefix(tape, blank: str) -> str:
+    """The cells of ``tape`` before its first blank, joined."""
+    end = tape.index(blank) if blank in tape else len(tape)
+    return "".join(tape[:end])
+
+
 def output_of(m: Machine, c: Configuration) -> str:
     """Maximal blank-free prefix of the designated output tape."""
-    tape = c.tapes[m.output_index]
-    blank = m.alphabets[m.output_index].blank
-    out = []
-    for s in tape:
-        if s == blank:
-            break
-        out.append(s)
-    return "".join(out)
+    return blank_free_prefix(c.tapes[m.output_index],
+                             m.alphabets[m.output_index].blank)
 
 
-def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
-    """Run until halted or ``budget`` further steps were applied.
+def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
+            budget: int, bounded: bool = False) -> tuple[str, str, int, int]:
+    """Step ``m`` from ``state`` for at most ``budget`` steps, updating
+    ``tapes`` and ``heads`` in place; returns (outcome, state, steps,
+    scanned).
 
+    The one stepping loop behind :func:`run_from` and the prefix runs.
     Halting is checked before the budget, so a run that halts exactly at
-    the budget counts as Halted.  Uses a mutable inner loop for speed; the
-    result is identical to iterating :func:`step`.
+    the budget counts as Halted.  A left shift at cell 0 clamps; a write
+    past a tape's end extends it with blanks.  With ``bounded``, tape 1
+    is a finite prefix of an unbounded input: a ReadWrite state whose
+    tape-1 head is past that prefix ends the run TAPE_EXHAUSTED, before
+    the rule lookup and the budget check, and ``scanned`` is one past the
+    last tape-1 cell read (0 when not bounded).  The result is identical
+    to iterating :func:`step`.
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
     dispatch = _tables(m).dispatch
     blanks = m.blanks()
-    state = c.state
-    tapes = [list(t) for t in c.tapes]
-    heads = list(c.heads)
-    taken = 0
     n = m.tape_count
+    limit = len(tapes[0])
+    scanned = 0
+    taken = 0
     while True:
         entry = dispatch.get(state)
-        reads = None
-        if entry is not None and entry[0] == "rw":
-            reads = tuple(
-                tapes[i][heads[i]] if heads[i] < len(tapes[i]) else blanks[i]
-                for i in range(n))
-            hit = entry[1].get(reads)
-        elif entry is not None:
-            hit = entry[1]
-        else:
-            hit = None
-        if hit is None:
+        if entry is None:
             outcome = HALTED
             break
-        if taken >= budget:
-            outcome = BUDGET_EXCEEDED
-            break
-        if entry[0] == "shift":
-            moves = hit[0]
-            for i in range(n):
-                d = moves[i]
-                if d:
-                    h = heads[i] + d
-                    heads[i] = h if h > 0 else 0
-            state = hit[1]
-        else:
-            writes = hit[0]
+        kind, payload = entry
+        if kind == "rw":
+            if bounded:
+                h = heads[0]
+                if h >= limit:
+                    outcome = TAPE_EXHAUSTED
+                    break
+                scanned = h + 1
+            hit = payload.get(tuple([
+                tapes[i][heads[i]] if heads[i] < len(tapes[i]) else blanks[i]
+                for i in range(n)]))
+            if hit is None:
+                outcome = HALTED
+                break
+            if taken >= budget:
+                outcome = BUDGET_EXCEEDED
+                break
+            writes, state = hit[0], hit[1]
             for i in range(n):
                 w = writes[i]
                 h = heads[i]
@@ -435,10 +439,29 @@ def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
                 elif w != blanks[i]:
                     t.extend([blanks[i]] * (h - len(t)))
                     t.append(w)
-            state = hit[1]
+        else:
+            if taken >= budget:
+                outcome = BUDGET_EXCEEDED
+                break
+            moves, state = payload[0], payload[1]
+            for i in range(n):
+                d = moves[i]
+                if d:
+                    h = heads[i] + d
+                    heads[i] = h if h > 0 else 0
         taken += 1
+    return outcome, state, taken, scanned
+
+
+def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
+    """Run until halted or ``budget`` further steps were applied
+    (semantics: :func:`execute`)."""
+    tapes = [list(t) for t in c.tapes]
+    heads = list(c.heads)
+    outcome, state, taken, _ = execute(m, c.state, tapes, heads, budget)
     final = Configuration.make(
-        state, tuple(tuple(t) for t in tapes), tuple(heads), c.steps + taken, blanks)
+        state, tuple(tuple(t) for t in tapes), tuple(heads), c.steps + taken,
+        m.blanks())
     return RunResult(outcome, final, taken, output_of(m, final))
 
 

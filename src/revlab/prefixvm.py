@@ -40,23 +40,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .machines import (
+from .machines import (  # the outcome names are re-exported
+    BUDGET_EXCEEDED,
+    HALTED,
+    TAPE_EXHAUSTED,
     Alphabet,
     Machine,
     MachineError,
     ReadWriteRule,
     Rule,
     ShiftRule,
+    blank_free_prefix,
     domain_conflicts,
+    execute,
 )
 from .reversal import LINEAR_A, LINEAR_B, LINEAR_C
 
 BIT_BLANK = "_"
 BITS = Alphabet.of("0", "1", blank=BIT_BLANK)
-
-HALTED = "halted"
-BUDGET_EXCEEDED = "budget-exceeded"
-TAPE_EXHAUSTED = "tape-exhausted"
 
 
 @dataclass(frozen=True)
@@ -495,73 +496,17 @@ def _prefix_checks(m: Machine) -> None:
 def run_prefix(m: Machine, bits: str, aux: str, budget: int) -> PrefixRunResult:
     """Simulate a prefix machine on a finite program-bit prefix.
 
-    The program tape is read on demand: the run ends TapeExhausted the
-    moment the machine scans a cell beyond the supplied bits (scanning
-    happens whenever the current state has ReadWrite rules).  ``program``
-    is the prefix of bits actually scanned.
+    :func:`machines.execute` with tape 1 bounded by ``bits``: the run
+    ends TapeExhausted the moment the machine scans a cell beyond the
+    supplied bits (scanning happens whenever the current state has
+    ReadWrite rules).  ``program`` is the prefix of bits actually scanned.
     """
-    if budget < 0:
-        raise MachineError("budget must be >= 0")
     _prefix_checks(m)
-    from .machines import _tables
-    dispatch = _tables(m).dispatch
-    blanks = m.blanks()
-    state = m.start_state
-    prog_head = 0
-    scanned = 0  # cells 0..scanned-1 were read
-    tapes = [list(aux), [], []]
-    heads = [0, 0, 0]
-    steps = 0
-    outcome = None
-    while True:
-        entry = dispatch.get(state)
-        if entry is None:
-            outcome = HALTED
-            break
-        kind, payload = entry
-        if kind == "rw":
-            if prog_head >= len(bits):
-                outcome = TAPE_EXHAUSTED
-                break
-            scanned = max(scanned, prog_head + 1)
-            reads = (bits[prog_head],) + tuple(
-                tapes[t][heads[t]] if heads[t] < len(tapes[t]) else blanks[t + 1]
-                for t in range(3))
-            hit = payload.get(reads)
-            if hit is None:
-                outcome = HALTED
-                break
-            if steps >= budget:
-                outcome = BUDGET_EXCEEDED
-                break
-            writes, state = hit[0], hit[1]
-            for t in range(3):
-                w = writes[t + 1]
-                h = heads[t]
-                tape = tapes[t]
-                if h < len(tape):
-                    tape[h] = w
-                elif w != blanks[t + 1]:
-                    tape.extend([blanks[t + 1]] * (h - len(tape)))
-                    tape.append(w)
-        else:
-            if steps >= budget:
-                outcome = BUDGET_EXCEEDED
-                break
-            moves, state = payload[0], payload[1]
-            prog_head += moves[0]
-            for t in range(3):
-                d = moves[t + 1]
-                if d:
-                    h = heads[t] + d
-                    heads[t] = h if h > 0 else 0
-        steps += 1
-    out = []
-    for s in tapes[2]:
-        if s == blanks[3]:
-            break
-        out.append(s)
-    return PrefixRunResult(outcome, bits[:scanned], "".join(out), steps)
+    tapes = [list(bits), list(aux), [], []]
+    outcome, _, steps, scanned = execute(
+        m, m.start_state, tapes, [0, 0, 0, 0], budget, bounded=True)
+    output = blank_free_prefix(tapes[3], m.alphabets[3].blank)
+    return PrefixRunResult(outcome, bits[:scanned], output, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -604,30 +549,18 @@ def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
-    pos = 0
-    sbits: list[str] = []
-    pair = ""
-    while True:
-        # One step per bit; exhaustion is checked before the budget, like
-        # the per-step order in run_prefix.
-        if pos >= len(bits):
-            return PrefixRunResult(TAPE_EXHAUSTED, bits[:pos], "", pos)
-        if pos >= budget:
-            return PrefixRunResult(BUDGET_EXCEEDED, bits[:pos], "", pos)
-        pair += bits[pos]
-        pos += 1
-        if len(pair) < 2:
-            continue
-        if pair == "01":
-            break
-        if pair == "00":
-            sbits.append("0")
-        elif pair == "11":
-            sbits.append("1")
-        else:  # "10": malformed, diverge
-            return _spin_out(bits[:pos], budget)
-        pair = ""
-    i = index_of_string("".join(sbits))
+    # One step per bit read; the decoder sees only the bits the budget
+    # lets it read, and exhaustion is checked before the budget, like the
+    # per-step order in run_prefix.
+    readable = bits[:budget]
+    try:
+        decoded = decode_index(readable)
+    except MalformedIndex as exc:  # the pair "10": diverge
+        return _spin_out(bits[:exc.consumed], budget)
+    if decoded is None:
+        outcome = TAPE_EXHAUSTED if len(readable) == len(bits) else BUDGET_EXCEEDED
+        return PrefixRunResult(outcome, readable, "", len(readable))
+    i, pos = decoded
     machine = enumerate_machine(i)
     if is_diverger(machine):
         return _spin_out(bits[:pos], budget)

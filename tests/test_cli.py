@@ -175,16 +175,19 @@ def test_cli_payloads_reproducible(capsys):
     assert [strip(e) for e in first] == [strip(e) for e in second]
 
 
-def test_cli_workers_invariance(capsys):
-    base = ["depth", "table", "f", "--n-max", "1",
-            "--max-len", "10", "--budget", "3000"]
-    _, one, _ = run_cli(capsys, base + ["--workers", "1"])
-    _, four, _ = run_cli(capsys, base + ["--workers", "4"])
-
-    def strip(envs):
-        return [{k: v for k, v in e.items() if k != "wall_ms"} for e in envs]
-
-    assert strip(one) == strip(four)
+@pytest.mark.parametrize("argv", [
+    ["depth", "ld", "2x", "--b", "0", "--variant", "gen"],
+    ["depth", "ld", "01", "--b", "0", "--variant", "gen", "--aux", "2"],
+    ["depth", "table", "psi", "--n-max", "1", "--aux", "2"],
+    ["depth", "table", "f", "--n-max", "1", "--variant", "general",
+     "--aux", "2"],
+])
+def test_non_binary_depth_input_fails_before_any_run(capsys, tmp_path, argv):
+    rc = main(argv + ["--max-len", "4", "--budget", "1000",
+                      "--cache-dir", str(tmp_path)])
+    assert rc == EXIT_INVALID
+    assert "must be binary" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_dir_roundtrip(capsys, tmp_path):

@@ -263,7 +263,7 @@ def test_budget_monotonicity_in_length(lab):
     assert b.k_upper <= a.k_upper
 
 
-# --- dovetail and partitioning ---------------------------------------------------------
+# --- dovetail and the sweep ------------------------------------------------------------
 
 def test_dovetail_single_program_equals_run(lab):
     out = lab.dovetail(QUICK, programs=["0001"])
@@ -272,14 +272,6 @@ def test_dovetail_single_program_equals_run(lab):
 
 def test_dovetail_empty_program_set(lab):
     assert lab.dovetail(QUICK, programs=[]) == []
-
-
-def test_dovetail_partition_invariance():
-    one = DepthLab(workers=1)
-    four = DepthLab(workers=4)
-    assert one.dovetail(QUICK) == four.dovetail(QUICK)
-    assert one.psi_table(2, QUICK) == four.psi_table(2, QUICK)
-    assert one.f_table(2, QUICK) == four.f_table(2, QUICK)
 
 
 def test_sweep_derivation_matches_direct_runs():

@@ -1,13 +1,18 @@
 """Program-tape semantics, the enumeration, and the universal interpreter."""
 
+import hashlib
+
 import pytest
 
 from revlab.corpus import corpus_entry
 from revlab.machines import (
+    Configuration,
     Machine,
     MachineError,
     ReadWriteRule,
     ShiftRule,
+    output_of,
+    step,
     validate_machine,
 )
 from revlab.prefixvm import (
@@ -134,6 +139,51 @@ def test_prefix_cursor_is_monotone_and_program_prefix():
     for bits in ("", "0", "10", "110011", "000111"):
         result = run_prefix(print_machine(), bits, "", 200)
         assert bits.startswith(result.program)
+
+
+def honest_prefix_run(m, bits, aux, budget):
+    """run_prefix by iterating machines.step on a four-tape configuration.
+
+    A ReadWrite state whose program head is at or past len(bits) ends the
+    run TapeExhausted; ``scanned`` is one past the last program cell read.
+    """
+    rw_states = {r.from_state for r in m.rules if isinstance(r, ReadWriteRule)}
+    c = Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
+                           (0, 0, 0, 0), 0, m.blanks())
+    scanned = 0
+    while True:
+        if c.state in rw_states:
+            if c.heads[0] >= len(bits):
+                outcome = TAPE_EXHAUSTED
+                break
+            scanned = c.heads[0] + 1
+        nxt = step(m, c)
+        if nxt is None:
+            outcome = HALTED
+            break
+        if c.steps >= budget:
+            outcome = BUDGET_EXCEEDED
+            break
+        c = nxt
+    return outcome, bits[:scanned], output_of(m, c), c.steps
+
+
+def test_run_prefix_matches_honest_stepping():
+    machines = list(builtin_machines().values()) + [diverger_machine()]
+    outcomes = set()
+    cases = 0
+    for m in machines:
+        for bits in all_bit_strings(6):
+            for aux in ("", "1011"):
+                for budget in (0, 1, 2, 7, 400):
+                    r = run_prefix(m, bits, aux, budget)
+                    got = (r.outcome, r.program, r.output, r.steps)
+                    assert got == honest_prefix_run(m, bits, aux, budget), \
+                        (m.name, bits, aux, budget)
+                    outcomes.add(r.outcome)
+                    cases += 1
+    assert cases == 8890
+    assert outcomes == {HALTED, BUDGET_EXCEEDED, TAPE_EXHAUSTED}
 
 
 def test_prefix_rejects_leftward_program_shift():
@@ -294,6 +344,20 @@ def test_universal_determinism_including_steps():
         a = universal_run(bits, "", 500)
         b = universal_run(bits, "", 500)
         assert a == b
+
+
+def test_universal_run_fingerprint():
+    # Pins every result field over all programs up to 10 bits, both aux
+    # values and budgets around the decoding and simulation boundaries.
+    h = hashlib.sha256()
+    for budget in (0, 1, 2, 3, 4, 5, 8, 17, 100, 3000):
+        for aux in ("", "1011"):
+            for bits in all_bit_strings(10):
+                r = universal_run(bits, aux, budget)
+                h.update(f"{bits}|{aux}|{budget}|{r.outcome}|{r.program}|"
+                         f"{r.output}|{r.steps}\n".encode())
+    assert h.hexdigest() == \
+        "f316165b59e6e8ae2165e25b6aa1b9b9f07531510f99e1c02b3702107caaf323"
 
 
 def test_universal_aux_conditional():

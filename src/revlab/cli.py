@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .corpus import corpus
-from .depth import Budget, DepthLab, NoWitness, RunLedger
+from .depth import Budget, DepthLab, NoWitness, RunLedger, check_binary
 from .machfmt import (
     MachineFormatError,
     parse_configuration,
@@ -181,6 +181,7 @@ def _parse_bits(text: str) -> str:
 
 
 def cmd_univ_run(args, out: Emitter) -> int:
+    check_binary(args.aux, "aux")
     runner = universal_reversible_run if args.reversible else universal_run
     result = runner(_parse_bits(args.bits), args.aux, args.budget)
     out.emit(result)
@@ -199,6 +200,7 @@ def cmd_univ_enumerate(args, out: Emitter) -> int:
 
 
 def cmd_univ_check_prefix(args, out: Emitter) -> int:
+    check_binary(args.aux, "aux")
     report = prefix_free_check(args.max_len, args.budget, args.aux)
     out.emit({
         "max_len": report.max_len,

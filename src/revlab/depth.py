@@ -7,11 +7,11 @@ D steps never halts.  The machinery:
   * a persistent RunLedger caching interpreter runs keyed by
     (universal digest, bits, aux, D): an append-only JSONL file holding
     only the runs actually executed;
-  * one shared sweep per (L, D, aux): every bit string of length <= L is
-    run for up to D steps, and the exactly-consumed halting runs form
-    the program table all queries scan.  Only the tape-exhausted
-    frontier is executed; every other string is re-derived in memory
-    from its parent's run;
+  * one shared sweep per (L, D, aux): the tree of executed runs, grown
+    from "" by running both children of every tape-exhausted run, each
+    for up to D steps, down to length L.  Its exactly-consumed halting
+    runs form the program table all queries scan; a string extending a
+    halted or budget-exceeded run is never a program and is not stored;
   * the literal-print program of x is always seeded as a candidate, even
     beyond L, which keeps k_upper below the print bound whenever the
     step budget allows the print run at all.
@@ -35,13 +35,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .prefixvm import (
     HALTED,
     TAPE_EXHAUSTED,
     PrefixRunResult,
-    all_bit_strings,
     print_program,
     reversible_view,
     universal_machine,
@@ -124,8 +123,8 @@ class RunLedger:
 
     Hits are bit-identical to recomputation: the key is the exact query
     (bits, aux, budget) and the stored value the full result.  Only runs
-    this ledger executed (misses in ``run``) are persisted; the sweep
-    re-derives every other string from its parent in memory.
+    this ledger executed (misses in ``run``) are persisted, and the
+    sweep's table holds nothing but executed runs.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -222,7 +221,7 @@ class RunLedger:
         return len(self._mem)
 
 
-def _check_binary(x: str, what: str = "string") -> None:
+def check_binary(x: str, what: str = "string") -> None:
     if any(c not in "01" for c in x):
         raise ValueError(f"{what} must be binary, got {x!r}")
 
@@ -247,26 +246,26 @@ class DepthLab:
         return reversible_view(self.run_one(bits, aux, max_steps), max_steps)
 
     def sweep(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
-        """Every bit string of length <= L run for <= D steps.
+        """The tree of executed runs over bit strings of length <= L.
 
         A string extending a prefix whose run already halted or exceeded
         the budget runs identically (the machine never looks at the
-        extension), so only the tape-exhausted frontier is executed
-        afresh, through the ledger; derived runs live only in this
-        sweep's table, never in the ledger.  The equivalence is asserted
-        in the tests.  The table is in canonical (length, lexicographic)
-        order.
+        extension) and is never a program, so it is not stored.  The
+        table holds only executed runs: ``""`` and, layer by layer, the
+        two children of every tape-exhausted entry, each run through the
+        ledger for <= D steps.  It is in canonical (length,
+        lexicographic) order.
         """
         key = (budget.max_len, budget.max_steps, aux)
         cached = self._sweeps.get(key)
         if cached is not None:
             return cached
-        table: dict[str, PrefixRunResult] = {}
-        for bits in all_bit_strings(budget.max_len):
-            parent = table.get(bits[:-1]) if bits else None
-            if parent is not None and parent.outcome != TAPE_EXHAUSTED:
-                table[bits] = parent
-            else:
+        table = {"": self.run_one("", aux, budget.max_steps)}
+        layer = [""]
+        for _ in range(budget.max_len):
+            layer = [w + b for w in layer
+                     if table[w].outcome == TAPE_EXHAUSTED for b in "01"]
+            for bits in layer:
                 table[bits] = self.run_one(bits, aux, budget.max_steps)
         self._sweeps[key] = table
         return table
@@ -284,23 +283,14 @@ class DepthLab:
         self._sweeps[key] = table
         return table
 
-    def dovetail(self, budget: Budget, aux: str = "",
-                 programs: Optional[Iterable[str]] = None) -> list[PrefixRunResult]:
-        """Run stream over programs in canonical order (all strings of
-        length <= L when no explicit set is given), ledger backed."""
-        if programs is None:
-            return list(self.sweep(budget, aux).values())
-        ordered = sorted(set(programs), key=lambda p: (len(p), p))
-        return [self.run_one(bits, aux, budget.max_steps) for bits in ordered]
-
     # -- producers ----------------------------------------------------------
 
     def _producers(self, x: str, budget: Budget, aux: str) -> dict[str, PrefixRunResult]:
         """Programs whose run halts with output x, seeded with the literal
         printer even when it is longer than L.  x and aux are checked
         before anything runs."""
-        _check_binary(x)
-        _check_binary(aux, "aux")
+        check_binary(x)
+        check_binary(aux, "aux")
         table = self.exact_halters(budget, aux)
         out = {p: r for p, r in table.items() if r.output == x}
         seed = print_program(x)

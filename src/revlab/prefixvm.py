@@ -54,7 +54,7 @@ from .machines import (  # the outcome names are re-exported
     domain_conflicts,
     execute,
 )
-from .reversal import LINEAR_A, LINEAR_B, LINEAR_C
+from .reversal import LINEAR_A, LINEAR_B, LINEAR_C, linear_bound
 
 BIT_BLANK = "_"
 BITS = Alphabet.of("0", "1", blank=BIT_BLANK)
@@ -571,7 +571,7 @@ def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
 
 def reversible_steps(u_steps: int, program: str, output: str) -> int:
     """Step count of the Bennett-transformed interpreter for a halted run."""
-    return LINEAR_A * u_steps + LINEAR_B * (len(program) + len(output)) + LINEAR_C
+    return linear_bound(u_steps, len(program), len(output))
 
 
 def reversible_view(u: PrefixRunResult, budget: int) -> PrefixRunResult:

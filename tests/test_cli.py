@@ -128,6 +128,17 @@ def test_univ_check_prefix(capsys):
     assert lines[0]["payload"]["prefix_free"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["univ", "run", "--bits", "1111010", "--aux", "12", "--budget", "100"],
+    ["univ", "check-prefix", "--max-len", "4", "--budget", "100", "--aux", "2x"],
+])
+def test_univ_rejects_non_binary_aux(capsys, argv):
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be binary" in captured.err
+
+
 def test_depth_k_and_ld(capsys):
     rc, lines, _ = run_cli(capsys, [
         "depth", "k", "", "--max-len", "4", "--budget", "1000"])

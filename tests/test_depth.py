@@ -14,6 +14,8 @@ from revlab.depth import (
 )
 from revlab.prefixvm import (
     HALTED,
+    TAPE_EXHAUSTED,
+    all_bit_strings,
     print_program,
     universal_reversible_run,
     universal_run,
@@ -263,22 +265,26 @@ def test_budget_monotonicity_in_length(lab):
     assert b.k_upper <= a.k_upper
 
 
-# --- dovetail and the sweep ------------------------------------------------------------
+# --- the sweep ----------------------------------------------------------------------
 
-def test_dovetail_single_program_equals_run(lab):
-    out = lab.dovetail(QUICK, programs=["0001"])
-    assert out == [universal_run("0001", "", QUICK.max_steps)]
-
-
-def test_dovetail_empty_program_set(lab):
-    assert lab.dovetail(QUICK, programs=[]) == []
-
-
-def test_sweep_derivation_matches_direct_runs():
+@pytest.mark.parametrize("budget", [Budget(8, 800), Budget(8, 17)])
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_sweep_is_the_tree_of_executed_runs(budget, aux):
     lab = DepthLab()
-    table = lab.sweep(Budget(8, 800))
+    table = lab.sweep(budget, aux)
+    frontier = [w for w, r in table.items()
+                if r.outcome == TAPE_EXHAUSTED and len(w) < budget.max_len]
+    assert set(table) == {""} | {w + b for w in frontier for b in "01"}
+    assert list(table) == sorted(table, key=lambda w: (len(w), w))
     for bits, r in table.items():
-        assert r == universal_run(bits, "", 800)
+        assert r == universal_run(bits, aux, budget.max_steps)
+
+    direct = {}
+    for bits in all_bit_strings(budget.max_len):
+        r = universal_run(bits, aux, budget.max_steps)
+        if r.outcome == HALTED and r.program == bits:
+            direct[bits] = r
+    assert lab.exact_halters(budget, aux) == direct
 
 
 # --- ledger -------------------------------------------------------------------------
@@ -334,6 +340,7 @@ def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
     cold.ledger.save()
     (path,) = tmp_path.iterdir()
     assert calls
+    assert len(table) == len(calls)
     assert path.read_text().count("\n") == len(calls)
 
     calls.clear()

@@ -301,6 +301,11 @@ class _ExecTable:
     # state -> ("rw", {read_tuple: (writes, to_state, rule_index)})
     #        | ("shift", (moves, to_state, rule_index))
     dispatch: dict[str, tuple]
+    # Spin states, whose chain of shift-only successors closes a cycle: a
+    # run entering one never reads, writes or halts again.  Bounded runs
+    # step ``live``, the dispatch without them (see :func:`execute`).
+    spins: frozenset[str]
+    live: dict[str, tuple]
 
 
 @lru_cache(maxsize=256)
@@ -320,7 +325,18 @@ def _tables(m: Machine) -> _ExecTable:
                     f"machine {m.name!r} not forward deterministic at "
                     f"state {rule.from_state!r}")
             table[rule.reads] = (rule.writes, rule.to_state, idx)
-    return _ExecTable(dispatch)
+    spins: set[str] = set()
+    seen: set[str] = set()
+    for state in dispatch:
+        walk = []  # shift-only successors not walked before
+        while state not in seen and dispatch.get(state, ("",))[0] == "shift":
+            seen.add(state)
+            walk.append(state)
+            state = dispatch[state][1][1]
+        if state in walk or state in spins:
+            spins.update(walk)
+    live = {s: e for s, e in dispatch.items() if s not in spins}
+    return _ExecTable(dispatch, frozenset(spins), live)
 
 
 def _scan(tape: tuple[str, ...], head: int, blank: str) -> str:
@@ -397,11 +413,14 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     tape-1 head is past that prefix ends the run TAPE_EXHAUSTED, before
     the rule lookup and the budget check, and ``scanned`` is one past the
     last tape-1 cell read (0 when not bounded).  The result is identical
-    to iterating :func:`step`.
+    to iterating :func:`step`, except that a bounded run entering a spin
+    state ends BUDGET_EXCEEDED at once with ``budget`` steps, its heads
+    and state left where the spin began (prefix runs discard them).
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
-    dispatch = _tables(m).dispatch
+    tables = _tables(m)
+    dispatch = tables.live if bounded else tables.dispatch
     blanks = m.blanks()
     n = m.tape_count
     limit = len(tapes[0])
@@ -410,7 +429,10 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     while True:
         entry = dispatch.get(state)
         if entry is None:
-            outcome = HALTED
+            if state in tables.spins:  # only bounded runs get here
+                outcome, taken = BUDGET_EXCEEDED, budget
+            else:
+                outcome = HALTED
             break
         kind, payload = entry
         if kind == "rw":

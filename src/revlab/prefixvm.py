@@ -535,8 +535,9 @@ def universal_machine() -> UniversalMachine:
 
 
 def _spin_out(program: str, budget: int) -> PrefixRunResult:
-    # Divergence burns the remaining budget; identical to honestly
-    # stepping the diverger's self-loop (tested against it).
+    # A malformed index diverges, burning the remaining budget.  Machine
+    # runs that diverge in a shift-only cycle (the diverger's included)
+    # end the same way inside machines.execute.
     return PrefixRunResult(BUDGET_EXCEEDED, program, "", budget)
 
 
@@ -561,10 +562,7 @@ def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
         outcome = TAPE_EXHAUSTED if len(readable) == len(bits) else BUDGET_EXCEEDED
         return PrefixRunResult(outcome, readable, "", len(readable))
     i, pos = decoded
-    machine = enumerate_machine(i)
-    if is_diverger(machine):
-        return _spin_out(bits[:pos], budget)
-    sim = run_prefix(machine, bits[pos:], aux, budget - pos)
+    sim = run_prefix(enumerate_machine(i), bits[pos:], aux, budget - pos)
     return PrefixRunResult(
         sim.outcome, bits[:pos] + sim.program, sim.output, pos + sim.steps)
 

@@ -362,3 +362,21 @@ def test_k_upper_within_log_bound_up_to_len_eight(lab):
             rec = lab.k_bounded(x, budget)
             bound = n + 2 * math.ceil(math.log2(n + 1)) + c_u
             assert rec.k_upper <= bound, (x, rec.k_upper, bound)
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_producers_index_matches_scan(aux):
+    # _producers reads the exact halters grouped by output; a scan over
+    # all exact halters must give the same programs in the same order.
+    lab = DepthLab()
+    budget = Budget(12, 3000)
+    halters = lab.exact_halters(budget, aux)
+    for x in all_bit_strings(4):
+        scan = {p: r for p, r in halters.items() if r.output == x}
+        seed = print_program(x)
+        if seed not in scan:
+            r = lab.run_one(seed, aux, budget.max_steps)
+            if r.outcome == HALTED and r.program == seed and r.output == x:
+                scan[seed] = r
+        assert list(lab._producers(x, budget, aux).items()) == \
+            list(scan.items()), x

@@ -11,6 +11,7 @@ from revlab.machines import (
     MachineError,
     ReadWriteRule,
     ShiftRule,
+    _tables,
     output_of,
     step,
     validate_machine,
@@ -19,6 +20,7 @@ from revlab.prefixvm import (
     BUDGET_EXCEEDED,
     HALTED,
     TAPE_EXHAUSTED,
+    _prefix_machine,
     aux_copy_machine,
     all_bit_strings,
     builtin_machines,
@@ -186,6 +188,106 @@ def test_run_prefix_matches_honest_stepping():
     assert outcomes == {HALTED, BUDGET_EXCEEDED, TAPE_EXHAUSTED}
 
 
+def read_bit(state, bit, out, to):
+    """Rules reading program bit ``bit`` under any aux symbol, writing
+    ``out`` to the output cell."""
+    return [ReadWriteRule(state, (bit, a, "_", "_"), (bit, a, "_", out), to)
+            for a in ("0", "1", "_")]
+
+
+def four_tape(name, start, rules):
+    return _prefix_machine(name, (), rules, start, (start,))
+
+
+def spin_machines():
+    """Hand-built prefix machines around shift-only cycles, with their
+    expected spin states."""
+    # First bit 1: write it, then a one-state shift tail into a 2-cycle
+    # moving the program, work and output heads.  First bit 0: write it,
+    # shift, then halt on 0 or re-read the next bit from the start on 1.
+    tail = four_tape("tail_into_cycle", "r", [
+        *read_bit("r", "0", "0", "m"), *read_bit("r", "1", "1", "t"),
+        ShiftRule("m", (1, 0, 0, 1), "q"),
+        *read_bit("q", "0", "_", "done"), *read_bit("q", "1", "_", "r"),
+        ShiftRule("t", (0, 0, 1, 0), "c1"),
+        ShiftRule("c1", (1, 0, 1, 1), "c2"),
+        ShiftRule("c2", (1, 0, -1, 1), "c1"),
+    ])
+    # The start state leads into a shift cycle listed before it, so the
+    # cycle is known when the tail is walked; the reader is unreachable.
+    start = four_tape("spinning_start", "s0", [
+        ShiftRule("s1", (0, 0, 0, 1), "s2"),
+        ShiftRule("s2", (1, 0, -1, 0), "s1"),
+        ShiftRule("s0", (1, 0, 1, 0), "s1"),
+        *read_bit("r", "0", "0", "done"),
+    ])
+    # A shift chain back to the reader is no spin.
+    chain = four_tape("chain_back_to_read", "r", [
+        *read_bit("r", "0", "0", "a"), *read_bit("r", "1", "_", "done"),
+        ShiftRule("a", (1, 0, 1, 1), "b"),
+        ShiftRule("b", (0, 0, -1, 0), "r"),
+    ])
+    return [(tail, {"t", "c1", "c2"}), (start, {"s0", "s1", "s2"}),
+            (chain, set())]
+
+
+def spin_entry(m, bits, aux, budget):
+    """Steps taken before the last stretch of shift-only steps of at most
+    ``budget`` honest steps: where a run that ends spinning enters its
+    spin."""
+    shifts = {r.from_state for r in m.rules if isinstance(r, ShiftRule)}
+    c = Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
+                           (0, 0, 0, 0), 0, m.blanks())
+    entry = 0
+    while c is not None and c.steps < budget:
+        if c.state not in shifts:
+            entry = c.steps + 1
+        c = step(m, c)
+    return entry
+
+
+def test_spin_states():
+    for desc, m in builtin_machines().items():
+        assert _tables(m).spins == ({"spin"} if desc == "1" else set()), desc
+    assert _tables(diverger_machine()).spins == {"spin"}
+    for m, spins in spin_machines():
+        assert _tables(m).spins == spins, m.name
+
+
+def test_spin_fast_path_matches_honest_stepping():
+    # Budgets 0, 400 and the honest spin entry e, e - 1 and e + 1, for
+    # every string up to 10 bits (6 for the builtins without a spin).  A
+    # string extending one whose run did not exhaust the tape within 400
+    # steps never reads past that string, so it shares its honest
+    # reference.
+    machines = [(m, 10 if desc == "1" else 6)
+                for desc, m in builtin_machines().items()]
+    machines += [(diverger_machine(), 10)]
+    machines += [(m, 10) for m, _ in spin_machines()]
+    spun = set()
+    cases = 0
+    for m, max_len in machines:
+        for aux in ("", "1011"):
+            ref = {}
+            for bits in all_bit_strings(max_len):
+                parent = ref.get(bits[:-1]) if bits else None
+                if parent is not None and parent[400][0] != TAPE_EXHAUSTED:
+                    ref[bits] = parent
+                else:
+                    e = spin_entry(m, bits, aux, 400)
+                    ref[bits] = {b: honest_prefix_run(m, bits, aux, b)
+                                 for b in {0, 400, max(e - 1, 0), e, e + 1}}
+                for budget, want in ref[bits].items():
+                    r = run_prefix(m, bits, aux, budget)
+                    assert (r.outcome, r.program, r.output, r.steps) == want, \
+                        (m.name, bits, aux, budget)
+                    cases += 1
+                if ref[bits][400][0] == BUDGET_EXCEEDED and _tables(m).spins:
+                    spun.add(m.name)
+    assert cases == 89982
+    assert spun == {"print", "diverger", "tail_into_cycle", "spinning_start"}
+
+
 def test_prefix_rejects_leftward_program_shift():
     bad = Machine(
         "bad", (print_machine().alphabets), frozenset({"a", "b"}), "a",
@@ -323,12 +425,21 @@ def test_universal_diverger_fast_path_matches_honest_simulation():
     # bit-identical to honestly stepping it.
     for budget in (2, 3, 10, 57):
         fast = universal_run("01", "", budget)
-        honest_sim = run_prefix(diverger_machine(), "", "", budget - 2)
+        outcome, _, _, steps = honest_prefix_run(diverger_machine(), "", "",
+                                                 budget - 2)
         assert fast.outcome == BUDGET_EXCEEDED
         assert fast.steps == budget
         assert fast.program == "01"
-        assert honest_sim.outcome == BUDGET_EXCEEDED
-        assert fast.steps == 2 + honest_sim.steps
+        assert outcome == BUDGET_EXCEEDED
+        assert fast.steps == 2 + steps
+
+
+def test_universal_spin_takes_no_steps():
+    # The printer's malformed pair "10" spins; stepping 10**12 steps would
+    # never finish.
+    r = universal_run("110110", "", 10**12)
+    assert (r.outcome, r.program, r.output, r.steps) == \
+        (BUDGET_EXCEEDED, "110110", "", 10**12)
 
 
 def test_universal_budget_cases():

@@ -228,6 +228,8 @@ def parse_configuration(text: str) -> Configuration:
                 head = int(fields[3])
             except ValueError:
                 raise MachineFormatError(line_no, f"bad head {fields[3]!r}")
+            if head < 0:
+                raise MachineFormatError(line_no, f"negative head {head}")
             tapes.append(_split_tuple(fields[5]))
             heads.append(head)
         else:

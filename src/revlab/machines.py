@@ -21,7 +21,7 @@ convenience subset that must have no outgoing rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
 
@@ -97,6 +97,11 @@ class Machine:
 
     def blanks(self) -> tuple[str, ...]:
         return tuple(a.blank for a in self.alphabets)
+
+    # Compiled forms, built on first use and kept on the object: the
+    # fields never change, and a lookup then hashes no rule list.
+    _compiled = cached_property(lambda self: _compile(self))
+    _step_lookup = cached_property(lambda self: _rule_lookup(self))
 
 
 def domains_overlap(a: Rule, b: Rule) -> bool:
@@ -296,71 +301,122 @@ def initial_configuration(m: Machine, input_symbols: str | tuple[str, ...]) -> C
 
 @dataclass(frozen=True)
 class _ExecTable:
-    """Per-state dispatch compiled from the rule list."""
+    """Each machine compiled once into the form :func:`execute` steps.
 
-    # state -> ("rw", {read_tuple: (writes, to_state, rule_index)})
-    #        | ("shift", (moves, to_state, rule_index))
-    dispatch: dict[str, tuple]
+    Rules are sparse: a ReadWrite entry lists only the cells its write
+    changes, as (tape, symbol) pairs, and a shift entry only the heads
+    it moves, as (tape, delta) pairs; equal entries are shared.  The
+    loop keeps its tapes padded, every head on a cell (see
+    :func:`execute`), so it reads and writes without bounds checks and
+    hands its tapes back with trailing blanks.
+    """
+
+    # state -> {read_tuple: (changes, to_state)}
+    rw: dict[str, dict[tuple[str, ...], tuple]]
+    # state -> (moves, to_state)
+    shift: dict[str, tuple]
     # Spin states, whose chain of shift-only successors closes a cycle: a
     # run entering one never reads, writes or halts again.  Bounded runs
-    # step ``live``, the dispatch without them (see :func:`execute`).
+    # step ``live``, the shift table without them (see :func:`execute`).
     spins: frozenset[str]
     live: dict[str, tuple]
+    # Why tape 1 cannot be a bounded input (a rule writes it or shifts it
+    # left), or None.
+    unbounded_input: Optional[str]
 
 
-@lru_cache(maxsize=256)
 def _tables(m: Machine) -> _ExecTable:
-    dispatch: dict[str, tuple] = {}
-    for idx, rule in enumerate(m.rules):
+    """``m`` compiled for :func:`execute`, once per machine object."""
+    return m._compiled
+
+
+def _compile(m: Machine) -> _ExecTable:
+    rw: dict[str, dict[tuple[str, ...], tuple]] = {}
+    shift: dict[str, tuple] = {}
+    shared: dict[tuple, tuple] = {}
+    unbounded_input = None
+    for rule in m.rules:
+        state = rule.from_state
         if isinstance(rule, ShiftRule):
-            if rule.from_state in dispatch:
-                raise MachineError(
-                    f"machine {m.name!r} not forward deterministic at "
-                    f"state {rule.from_state!r}")
-            dispatch[rule.from_state] = ("shift", (rule.moves, rule.to_state, idx))
+            if state in shift or state in rw:
+                raise _nondeterministic(m, state)
+            moves = tuple((i, d) for i, d in enumerate(rule.moves) if d)
+            if (0, -1) in moves and unbounded_input is None:
+                unbounded_input = "program tape is one-way: no left shifts"
+            moves = shared.setdefault(moves, moves)
+            shift[state] = shared.setdefault((moves, rule.to_state),
+                                             (moves, rule.to_state))
         else:
-            kind, table = dispatch.setdefault(rule.from_state, ("rw", {}))
-            if kind != "rw" or rule.reads in table:
-                raise MachineError(
-                    f"machine {m.name!r} not forward deterministic at "
-                    f"state {rule.from_state!r}")
-            table[rule.reads] = (rule.writes, rule.to_state, idx)
+            table = rw.setdefault(state, {})
+            if state in shift or rule.reads in table:
+                raise _nondeterministic(m, state)
+            changes = tuple((i, w) for i, (r, w)
+                            in enumerate(zip(rule.reads, rule.writes)) if r != w)
+            if changes and changes[0][0] == 0 and unbounded_input is None:
+                unbounded_input = "program tape is read-only"
+            changes = shared.setdefault(changes, changes)
+            table[rule.reads] = shared.setdefault((changes, rule.to_state),
+                                                  (changes, rule.to_state))
     spins: set[str] = set()
     seen: set[str] = set()
-    for state in dispatch:
+    for state in shift:
         walk = []  # shift-only successors not walked before
-        while state not in seen and dispatch.get(state, ("",))[0] == "shift":
+        while state not in seen and state in shift:
             seen.add(state)
             walk.append(state)
-            state = dispatch[state][1][1]
+            state = shift[state][1]
         if state in walk or state in spins:
             spins.update(walk)
-    live = {s: e for s, e in dispatch.items() if s not in spins}
-    return _ExecTable(dispatch, frozenset(spins), live)
+    live = {s: e for s, e in shift.items() if s not in spins}
+    return _ExecTable(rw, shift, frozenset(spins), live, unbounded_input)
 
 
-def _scan(tape: tuple[str, ...], head: int, blank: str) -> str:
-    return tape[head] if head < len(tape) else blank
+def _nondeterministic(m: Machine, state: str) -> MachineError:
+    return MachineError(
+        f"machine {m.name!r} not forward deterministic at state {state!r}")
+
+
+def _rule_lookup(m: Machine) -> dict[str, Union[Rule, dict[tuple[str, ...], Rule]]]:
+    """state -> its shift rule, or {read_tuple: ReadWrite rule}.
+
+    Built straight from ``m.rules``, on the first :func:`step`, so that
+    stepping stays a reference independent of :func:`execute`'s table.
+    """
+    lookup: dict[str, Union[Rule, dict[tuple[str, ...], Rule]]] = {}
+    for rule in m.rules:
+        state = rule.from_state
+        if isinstance(rule, ShiftRule):
+            if state in lookup:
+                raise _nondeterministic(m, state)
+            lookup[state] = rule
+        else:
+            table = lookup.setdefault(state, {})
+            if not isinstance(table, dict) or rule.reads in table:
+                raise _nondeterministic(m, state)
+            table[rule.reads] = rule
+    return lookup
+
+
+def _applicable_rule(m: Machine, c: Configuration) -> Optional[Rule]:
+    """The unique rule matching ``c``, or None when the machine halts."""
+    entry = m._step_lookup.get(c.state)
+    if isinstance(entry, dict):
+        return entry.get(tuple(t[h] if h < len(t) else b
+                               for t, h, b in zip(c.tapes, c.heads, m.blanks())))
+    return entry
 
 
 def step(m: Machine, c: Configuration) -> Optional[Configuration]:
     """Apply the unique matching rule, or return None when the machine halts."""
-    entry = _tables(m).dispatch.get(c.state)
+    rule = _applicable_rule(m, c)
+    if rule is None:
+        return None
+    if isinstance(rule, ShiftRule):
+        heads = tuple(max(0, h + d) for h, d in zip(c.heads, rule.moves))
+        return Configuration(rule.to_state, c.tapes, heads, c.steps + 1)
     blanks = m.blanks()
-    if entry is None:
-        return None
-    kind, payload = entry
-    if kind == "shift":
-        moves, to_state, _ = payload
-        heads = tuple(max(0, h + d) for h, d in zip(c.heads, moves))
-        return Configuration(to_state, c.tapes, heads, c.steps + 1)
-    reads = tuple(_scan(t, h, b) for t, h, b in zip(c.tapes, c.heads, blanks))
-    hit = payload.get(reads)
-    if hit is None:
-        return None
-    writes, to_state, _ = hit
     new_tapes = []
-    for t, h, w, b in zip(c.tapes, c.heads, writes, blanks):
+    for t, h, w, b in zip(c.tapes, c.heads, rule.writes, blanks):
         if h < len(t):
             if t[h] == w:
                 new_tapes.append(t)
@@ -371,7 +427,7 @@ def step(m: Machine, c: Configuration) -> Optional[Configuration]:
         else:
             new_tapes.append(t + (b,) * (h - len(t)) + (w,))
     tapes = tuple(_strip(t, b) for t, b in zip(new_tapes, blanks))
-    return Configuration(to_state, tapes, c.heads, c.steps + 1)
+    return Configuration(rule.to_state, tapes, c.heads, c.steps + 1)
 
 
 HALTED = "halted"
@@ -407,70 +463,72 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
 
     The one stepping loop behind :func:`run_from` and the prefix runs.
     Halting is checked before the budget, so a run that halts exactly at
-    the budget counts as Halted.  A left shift at cell 0 clamps; a write
-    past a tape's end extends it with blanks.  With ``bounded``, tape 1
-    is a finite prefix of an unbounded input: a ReadWrite state whose
-    tape-1 head is past that prefix ends the run TAPE_EXHAUSTED, before
-    the rule lookup and the budget check, and ``scanned`` is one past the
-    last tape-1 cell read (0 when not bounded).  The result is identical
-    to iterating :func:`step`, except that a bounded run entering a spin
-    state ends BUDGET_EXCEEDED at once with ``budget`` steps, its heads
-    and state left where the spin began (prefix runs discard them).
+    the budget counts as Halted.  A left shift at cell 0 clamps.  Tapes
+    are padded: on entry each is extended with blanks until its head is
+    on a cell, and a shift onto a tape's end appends one blank, so the
+    caller gets its tapes back with trailing blanks.  With ``bounded``,
+    tape 1 is a finite prefix of an unbounded input and must be read-only
+    and one-way: a ReadWrite state whose tape-1 head is at or past the
+    prefix's end ends the run TAPE_EXHAUSTED, before the rule lookup and
+    the budget check, and ``scanned`` is one past the last tape-1 cell
+    read (0 when not bounded).  The result is identical to iterating
+    :func:`step`, except that a bounded run entering a spin state ends
+    BUDGET_EXCEEDED at once with ``budget`` steps, its heads and state
+    left where the spin began (prefix runs discard them).
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
     tables = _tables(m)
-    dispatch = tables.live if bounded else tables.dispatch
+    if bounded and tables.unbounded_input:
+        raise MachineError(tables.unbounded_input)
+    rw = tables.rw
+    shift = tables.live if bounded else tables.shift
     blanks = m.blanks()
-    n = m.tape_count
     limit = len(tapes[0])
+    for t, h, b in zip(tapes, heads, blanks):
+        if h >= len(t):
+            t.extend([b] * (h + 1 - len(t)))
+    read = list.__getitem__
     scanned = 0
     taken = 0
     while True:
-        entry = dispatch.get(state)
-        if entry is None:
-            if state in tables.spins:  # only bounded runs get here
-                outcome, taken = BUDGET_EXCEEDED, budget
-            else:
-                outcome = HALTED
-            break
-        kind, payload = entry
-        if kind == "rw":
+        table = rw.get(state)
+        if table is not None:
             if bounded:
                 h = heads[0]
                 if h >= limit:
                     outcome = TAPE_EXHAUSTED
                     break
                 scanned = h + 1
-            hit = payload.get(tuple([
-                tapes[i][heads[i]] if heads[i] < len(tapes[i]) else blanks[i]
-                for i in range(n)]))
+            hit = table.get(tuple(map(read, tapes, heads)))
             if hit is None:
                 outcome = HALTED
                 break
             if taken >= budget:
                 outcome = BUDGET_EXCEEDED
                 break
-            writes, state = hit[0], hit[1]
-            for i in range(n):
-                w = writes[i]
-                h = heads[i]
-                t = tapes[i]
-                if h < len(t):
-                    t[h] = w
-                elif w != blanks[i]:
-                    t.extend([blanks[i]] * (h - len(t)))
-                    t.append(w)
+            changes, state = hit
+            for i, w in changes:
+                tapes[i][heads[i]] = w
         else:
+            hit = shift.get(state)
+            if hit is None:
+                if state in tables.spins:  # only bounded runs get here
+                    outcome, taken = BUDGET_EXCEEDED, budget
+                else:
+                    outcome = HALTED
+                break
             if taken >= budget:
                 outcome = BUDGET_EXCEEDED
                 break
-            moves, state = payload[0], payload[1]
-            for i in range(n):
-                d = moves[i]
-                if d:
-                    h = heads[i] + d
-                    heads[i] = h if h > 0 else 0
+            moves, state = hit
+            for i, d in moves:
+                h = heads[i] + d
+                if h < 0:
+                    h = 0
+                elif h == len(tapes[i]):
+                    tapes[i].append(blanks[i])
+                heads[i] = h
         taken += 1
     return outcome, state, taken, scanned
 
@@ -478,6 +536,9 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
 def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
     """Run until halted or ``budget`` further steps were applied
     (semantics: :func:`execute`)."""
+    if {len(c.tapes), len(c.heads)} != {m.tape_count} or min(c.heads, default=0) < 0:
+        raise MachineError(f"configuration with {len(c.tapes)} tapes and heads "
+                           f"{c.heads} does not fit {m.tape_count}-tape {m.name!r}")
     tapes = [list(t) for t in c.tapes]
     heads = list(c.heads)
     outcome, state, taken, _ = execute(m, c.state, tapes, heads, budget)
@@ -530,63 +591,6 @@ class QuintupleMachine:
     @property
     def tape_count(self) -> int:
         return len(self.alphabets)
-
-
-def run_quintuple(m5: QuintupleMachine, input_symbols: str | tuple[str, ...],
-                  budget: int) -> RunResult:
-    """Direct interpreter for quintuple machines (write then shift in one
-    step); used to compare step counts against the normalized form."""
-    if budget < 0:
-        raise MachineError("budget must be >= 0")
-    table: dict[tuple[str, tuple[str, ...]], QuintupleRule] = {}
-    for r in m5.rules:
-        key = (r.from_state, r.reads)
-        if key in table:
-            raise MachineError(
-                f"machine {m5.name!r} not forward deterministic at {key[0]!r}")
-        table[key] = r
-    blanks = tuple(a.blank for a in m5.alphabets)
-    symbols = tuple(input_symbols)
-    for s in symbols:
-        if s not in m5.alphabets[0].symbols:
-            raise MachineError(f"input symbol {s!r} not in tape 1 alphabet")
-    tapes = [list(symbols)] + [[] for _ in range(m5.tape_count - 1)]
-    heads = [0] * m5.tape_count
-    state = m5.start_state
-    taken = 0
-    while True:
-        reads = tuple(
-            tapes[i][heads[i]] if heads[i] < len(tapes[i]) else blanks[i]
-            for i in range(m5.tape_count))
-        rule = table.get((state, reads))
-        if rule is None:
-            outcome = HALTED
-            break
-        if taken >= budget:
-            outcome = BUDGET_EXCEEDED
-            break
-        for i, w in enumerate(rule.writes):
-            h, t = heads[i], tapes[i]
-            if h < len(t):
-                t[h] = w
-            elif w != blanks[i]:
-                t.extend([blanks[i]] * (h - len(t)))
-                t.append(w)
-        for i, d in enumerate(rule.moves):
-            if d:
-                h = heads[i] + d
-                heads[i] = h if h > 0 else 0
-        state = rule.to_state
-        taken += 1
-    final = Configuration.make(
-        state, tuple(tuple(t) for t in tapes), tuple(heads), taken, blanks)
-    out_index = (m5.output_tape or m5.tape_count) - 1
-    out = []
-    for s in final.tapes[out_index] if out_index < len(final.tapes) else ():
-        if s == blanks[out_index]:
-            break
-        out.append(s)
-    return RunResult(outcome, final, taken, "".join(out))
 
 
 def normalize_to_quadruples(m5: QuintupleMachine) -> Machine:

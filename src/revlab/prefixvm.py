@@ -482,17 +482,6 @@ def enumerate_machine(i: int) -> Machine:
 # Prefix-tape execution
 
 
-def _prefix_checks(m: Machine) -> None:
-    if m.tape_count != 4:
-        raise MachineError(f"prefix machine needs 4 tapes, got {m.tape_count}")
-    for rule in m.rules:
-        if isinstance(rule, ShiftRule):
-            if rule.moves[0] == -1:
-                raise MachineError("program tape is one-way: no left shifts")
-        elif rule.reads[0] != rule.writes[0]:
-            raise MachineError("program tape is read-only")
-
-
 def run_prefix(m: Machine, bits: str, aux: str, budget: int) -> PrefixRunResult:
     """Simulate a prefix machine on a finite program-bit prefix.
 
@@ -501,7 +490,8 @@ def run_prefix(m: Machine, bits: str, aux: str, budget: int) -> PrefixRunResult:
     supplied bits (scanning happens whenever the current state has
     ReadWrite rules).  ``program`` is the prefix of bits actually scanned.
     """
-    _prefix_checks(m)
+    if m.tape_count != 4:
+        raise MachineError(f"prefix machine needs 4 tapes, got {m.tape_count}")
     tapes = [list(bits), list(aux), [], []]
     outcome, _, steps, scanned = execute(
         m, m.start_state, tapes, [0, 0, 0, 0], budget, bounded=True)

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .machfmt import serialize_machine
 from .machines import (
@@ -122,8 +123,10 @@ def invert_rule(rule: Rule) -> Rule:
     return ReadWriteRule(rule.to_state, rule.writes, rule.reads, rule.from_state)
 
 
+@lru_cache(maxsize=256)
 def invert(m: Machine) -> Machine:
-    """Rule-by-rule inverse of a reversible machine."""
+    """Rule-by-rule inverse of a reversible machine (cached per machine;
+    a machine that is not reversible raises on every call)."""
     report = verify_reversible(m)
     if not report.reversible:
         raise ReversibilityError(

@@ -1,14 +1,26 @@
-"""Definitional brute-force oracles for complexity and depth.
+"""Definitional brute-force oracles for complexity and depth, and a
+direct quintuple-machine interpreter.
 
-Deliberately independent of revlab.depth: straight loops over direct
-interpreter calls, no ledger, no sweep sharing, its own enumeration and
-seed construction, its own tie-breaking written from the definitions.
-The only reused code is the interpreter itself, which is what these
-oracles check the depth lab against.
+The depth oracles are deliberately independent of revlab.depth:
+straight loops over direct interpreter calls, no ledger, no sweep
+sharing, their own enumeration and seed construction, their own
+tie-breaking written from the definitions.  The only reused code is the
+interpreter itself, which is what these oracles check the depth lab
+against.  ``run_quintuple`` is the oracle for
+``machines.normalize_to_quadruples``.
 """
 
 from itertools import product
 
+from revlab.machines import (
+    BUDGET_EXCEEDED,
+    HALTED,
+    Configuration,
+    MachineError,
+    QuintupleMachine,
+    QuintupleRule,
+    RunResult,
+)
 from revlab.prefixvm import universal_reversible_run, universal_run
 
 _tables: dict = {}
@@ -95,3 +107,60 @@ def naive_ld_reversible(x: str, b: int, max_len: int, max_steps: int,
     if best is None:
         return None
     return best[0], best[2]
+
+
+def run_quintuple(m5: QuintupleMachine, input_symbols: str | tuple[str, ...],
+                  budget: int) -> RunResult:
+    """Direct interpreter for quintuple machines (write then shift in one
+    step); used to compare step counts against the normalized form."""
+    if budget < 0:
+        raise MachineError("budget must be >= 0")
+    table: dict[tuple[str, tuple[str, ...]], QuintupleRule] = {}
+    for r in m5.rules:
+        key = (r.from_state, r.reads)
+        if key in table:
+            raise MachineError(
+                f"machine {m5.name!r} not forward deterministic at {key[0]!r}")
+        table[key] = r
+    blanks = tuple(a.blank for a in m5.alphabets)
+    symbols = tuple(input_symbols)
+    for s in symbols:
+        if s not in m5.alphabets[0].symbols:
+            raise MachineError(f"input symbol {s!r} not in tape 1 alphabet")
+    tapes = [list(symbols)] + [[] for _ in range(m5.tape_count - 1)]
+    heads = [0] * m5.tape_count
+    state = m5.start_state
+    taken = 0
+    while True:
+        reads = tuple(
+            tapes[i][heads[i]] if heads[i] < len(tapes[i]) else blanks[i]
+            for i in range(m5.tape_count))
+        rule = table.get((state, reads))
+        if rule is None:
+            outcome = HALTED
+            break
+        if taken >= budget:
+            outcome = BUDGET_EXCEEDED
+            break
+        for i, w in enumerate(rule.writes):
+            h, t = heads[i], tapes[i]
+            if h < len(t):
+                t[h] = w
+            elif w != blanks[i]:
+                t.extend([blanks[i]] * (h - len(t)))
+                t.append(w)
+        for i, d in enumerate(rule.moves):
+            if d:
+                h = heads[i] + d
+                heads[i] = h if h > 0 else 0
+        state = rule.to_state
+        taken += 1
+    final = Configuration.make(
+        state, tuple(tuple(t) for t in tapes), tuple(heads), taken, blanks)
+    out_index = (m5.output_tape or m5.tape_count) - 1
+    out = []
+    for s in final.tapes[out_index] if out_index < len(final.tapes) else ():
+        if s == blanks[out_index]:
+            break
+        out.append(s)
+    return RunResult(outcome, final, taken, "".join(out))

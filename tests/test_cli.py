@@ -96,6 +96,32 @@ def test_rev_reverse_roundtrip(capsys, corpus_dir, tmp_path):
     assert payload["final"]["heads"] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("snapshot, want", [
+    ("tape 1 head -1 cells 1,0\ntape 2 head 0 cells -\ntape 3 head 0 cells -\n",
+     EXIT_USAGE),
+    ("tape 1 head -3 cells 1,0\ntape 2 head 0 cells -\ntape 3 head 0 cells -\n",
+     EXIT_USAGE),
+    ("tape 1 head 0 cells 1,0\n", EXIT_INVALID),
+], ids=["head-1", "head-3", "one-tape"])
+def test_rev_reverse_rejects_impossible_configurations(capsys, tmp_path,
+                                                       snapshot, want):
+    # A negative head is a parse error; a tape count other than the
+    # machine's is an invalid configuration.  Neither may read a cell.
+    from revlab.reversal import bennett_transform
+
+    bm = bennett_transform(corpus_entry("flipper").machine)
+    machine_file = tmp_path / "rev.tm"
+    machine_file.write_text(serialize_machine(bm.machine))
+    config_file = tmp_path / "bad.cfg"
+    config_file.write_text(f"state {bm.machine.start_state}\nsteps 0\n" + snapshot)
+    rc, lines, err = run_cli(capsys, [
+        "rev", "reverse", str(machine_file),
+        "--from", str(config_file), "--budget", "5"])
+    assert rc == want
+    assert lines == []
+    assert "Traceback" not in err
+
+
 def test_univ_run_and_enumerate(capsys):
     rc, lines, _ = run_cli(capsys, [
         "univ", "run", "--bits", "0001", "--budget", "100"])

@@ -6,6 +6,7 @@ from revlab.machines import (
     HALTED,
     QuintupleMachine,
     ShiftRule,
+    _applicable_rule,
     normalize_to_quadruples,
     run,
     trace_run,
@@ -74,23 +75,8 @@ def test_no_corpus_machine_ever_clamps():
         m = as_quadruple(entry)
         for w in inputs_up_to(entry.input_alphabet, 5):
             for c in trace_run(m, w, 3000):
-                applied = _applied_rule(m, c)
+                applied = _applicable_rule(m, c)
                 if isinstance(applied, ShiftRule):
                     for h, d in zip(c.heads, applied.moves):
                         assert not (h == 0 and d == -1), (entry.name, w)
 
-
-def _applied_rule(m, c):
-    from revlab.machines import _tables
-    entry = _tables(m).dispatch.get(c.state)
-    if entry is None:
-        return None
-    kind, payload = entry
-    if kind == "shift":
-        moves, to_state, idx = payload
-        return m.rules[idx]
-    reads = tuple(
-        t[h] if h < len(t) else a.blank
-        for t, h, a in zip(c.tapes, c.heads, m.alphabets))
-    hit = payload.get(reads)
-    return m.rules[hit[2]] if hit else None

@@ -17,13 +17,17 @@ from revlab.machines import (
     domain_conflicts,
     initial_configuration,
     normalize_to_quadruples,
+    output_of,
     run,
-    run_quintuple,
+    run_from,
     step,
     trace_run,
     validate_machine,
 )
 from revlab.corpus import BLANK, BINARY, corpus, corpus_entry, inputs_up_to
+from revlab.reversal import bennett_transform
+
+from oracles import run_quintuple
 
 
 def quad(rules, start="q0", halts=(), alphabet=BINARY, states=None):
@@ -201,6 +205,56 @@ def test_run_matches_step_iteration():
             assert result.final.tapes == last.tapes
             assert result.final.heads == last.heads
             assert result.steps == last.steps
+
+
+def assert_run_from_matches_stepping(m, configs, ks):
+    """run_from(m, c, k) from every configuration of a trace of steps."""
+    last = len(configs) - 1
+    halted = step(m, configs[-1]) is None
+    for j, c in enumerate(configs):
+        for k in ks:
+            end = min(j + k, last)
+            if j + k > last and not halted:
+                continue  # past the traced budget
+            r = run_from(m, c, k)
+            want = HALTED if halted and end == last else BUDGET_EXCEEDED
+            assert (r.outcome, r.final, r.steps, r.output) == \
+                (want, configs[end], end - j, output_of(m, configs[end])), \
+                (m.name, c, k)
+
+
+def test_run_from_matches_step_from_every_configuration():
+    # Runs start mid-run too: heads far past the stripped tape end,
+    # interior blanks, and history tapes half written or half erased.
+    for entry in corpus():
+        m = entry.machine
+        if isinstance(m, QuintupleMachine):
+            m = normalize_to_quadruples(m)
+        for mm in (m, bennett_transform(m).machine):
+            for w in inputs_up_to(entry.input_alphabet, 2):
+                configs = list(trace_run(mm, w, 400))
+                assert_run_from_matches_stepping(mm, configs, (0, 1, 5))
+
+
+def test_padded_tape_edges():
+    # From a head past the stripped end: write the blank there, erase the
+    # last cell, clamp a left shift at 0, then walk right onto a cell no
+    # run has touched and halt there, reading a blank no rule matches.
+    rules = [
+        rw("s0", BLANK, BLANK, "s1"), sh("s1", -1, "s2"),
+        rw("s2", BLANK, BLANK, "s3"), sh("s3", -1, "s4"),
+        rw("s4", "0", BLANK, "s5"), sh("s5", -1, "s6"),
+        sh("s6", -1, "s7"), rw("s7", "1", "0", "s8"),
+        sh("s8", 1, "s9"), sh("s9", 1, "s10"), sh("s10", 1, "s11"),
+        sh("s11", 1, "s12"), rw("s12", "1", "1", "s0"),
+    ]
+    m = quad(rules, start="s0")
+    configs = [Configuration("s0", (("1", "0"),), (3,), 0)]
+    while len(configs) < 100 and (nxt := step(m, configs[-1])) is not None:
+        configs.append(nxt)
+    assert [c.heads[0] for c in configs] == [3, 3, 2, 2, 1, 1, 0, 0, 0, 1, 2, 3, 4]
+    assert configs[-1] == Configuration("s12", (("0",),), (4,), 12)
+    assert_run_from_matches_stepping(m, configs, range(14))
 
 
 def test_run_determinism_bit_identical():

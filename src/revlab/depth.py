@@ -7,11 +7,12 @@ D steps never halts.  The machinery:
   * a persistent RunLedger caching interpreter runs keyed by
     (universal digest, bits, aux, D): an append-only JSONL file holding
     only the runs actually executed;
-  * one shared sweep per (L, D, aux): the tree of executed runs, grown
-    from "" by running both children of every tape-exhausted run, each
-    for up to D steps, down to length L.  Its exactly-consumed halting
-    runs form the program table all queries scan; a string extending a
-    halted or budget-exceeded run is never a program and is not stored;
+  * one cache entry per (L, D, aux): the sweep, the tree of executed
+    runs grown from "" by running both children of every tape-exhausted
+    run, each for up to D steps, down to length L, stored with its
+    exactly-consumed halting runs grouped by output.  Every query reads
+    its producers from that index; a string extending a halted or
+    budget-exceeded run is never a program and is not stored;
   * the literal-print program of x is always seeded as a candidate, even
     beyond L, which keeps k_upper below the print bound whenever the
     step budget allows the print run at all.
@@ -226,9 +227,19 @@ def check_binary(x: str, what: str = "string") -> None:
         raise ValueError(f"{what} must be binary, got {x!r}")
 
 
+def _exact(bits: str, r: PrefixRunResult) -> bool:
+    """A halting run that consumed exactly its bit string: a program."""
+    return r.outcome == HALTED and r.program == bits
+
+
 @dataclass
 class DepthLab:
-    """Shared sweep state for all depth-lab operations."""
+    """Shared sweep state for all depth-lab operations.
+
+    ``_sweeps`` holds one entry per (budget, aux): the sweep table and
+    its exact halters grouped by output.  Every query reads that entry
+    and runs nothing but literal-printer seeds through the ledger.
+    """
 
     ledger: RunLedger = field(default_factory=RunLedger)
     _sweeps: dict = field(default_factory=dict, repr=False)
@@ -239,12 +250,6 @@ class DepthLab:
 
     # -- sweeps ------------------------------------------------------------
 
-    def run_one(self, bits: str, aux: str, max_steps: int) -> PrefixRunResult:
-        return self.ledger.run(bits, aux, max_steps)
-
-    def rev_one(self, bits: str, aux: str, max_steps: int) -> PrefixRunResult:
-        return reversible_view(self.run_one(bits, aux, max_steps), max_steps)
-
     def sweep(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
         """The tree of executed runs over bit strings of length <= L.
 
@@ -254,34 +259,28 @@ class DepthLab:
         table holds only executed runs: ``""`` and, layer by layer, the
         two children of every tape-exhausted entry, each run through the
         ledger for <= D steps.  It is in canonical (length,
-        lexicographic) order.
+        lexicographic) order, and cached with its exact halters grouped
+        by output, the index ``_producers`` reads.
         """
-        key = (budget.max_len, budget.max_steps, aux)
-        cached = self._sweeps.get(key)
-        if cached is not None:
-            return cached
-        table = {"": self.run_one("", aux, budget.max_steps)}
-        layer = [""]
-        for _ in range(budget.max_len):
-            layer = [w + b for w in layer
-                     if table[w].outcome == TAPE_EXHAUSTED for b in "01"]
-            for bits in layer:
-                table[bits] = self.run_one(bits, aux, budget.max_steps)
-        self._sweeps[key] = table
-        return table
+        if (budget, aux) not in self._sweeps:
+            table = {"": self.ledger.run("", aux, budget.max_steps)}
+            layer = [""]
+            for _ in range(budget.max_len):
+                layer = [w + b for w in layer
+                         if table[w].outcome == TAPE_EXHAUSTED for b in "01"]
+                for bits in layer:
+                    table[bits] = self.ledger.run(bits, aux, budget.max_steps)
+            by_output: dict[str, dict[str, PrefixRunResult]] = {}
+            for bits, r in table.items():
+                if _exact(bits, r):
+                    by_output.setdefault(r.output, {})[bits] = r
+            self._sweeps[budget, aux] = table, by_output
+        return self._sweeps[budget, aux][0]
 
     def exact_halters(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
         """Halting runs that consumed exactly their bit string."""
-        key = ("exact", budget.max_len, budget.max_steps, aux)
-        cached = self._sweeps.get(key)
-        if cached is not None:
-            return cached
-        table = {
-            bits: r for bits, r in self.sweep(budget, aux).items()
-            if r.outcome == HALTED and r.program == bits
-        }
-        self._sweeps[key] = table
-        return table
+        return {bits: r for bits, r in self.sweep(budget, aux).items()
+                if _exact(bits, r)}
 
     # -- producers ----------------------------------------------------------
 
@@ -291,18 +290,22 @@ class DepthLab:
         before anything runs."""
         check_binary(x)
         check_binary(aux, "aux")
-        key = ("by-output", budget.max_len, budget.max_steps, aux)
-        if key not in self._sweeps:  # exact halters grouped by output
-            self._sweeps[key] = by_output = {}
-            for p, r in self.exact_halters(budget, aux).items():
-                by_output.setdefault(r.output, {})[p] = r
-        out = dict(self._sweeps[key].get(x, {}))
+        self.sweep(budget, aux)
+        out = dict(self._sweeps[budget, aux][1].get(x, {}))
         seed = print_program(x)
         if seed not in out:
-            r = self.run_one(seed, aux, budget.max_steps)
-            if r.outcome == HALTED and r.program == seed and r.output == x:
+            r = self.ledger.run(seed, aux, budget.max_steps)
+            if _exact(seed, r) and r.output == x:
                 out[seed] = r
         return out
+
+    def _reversible_producers(self, x: str, budget: Budget,
+                              aux: str) -> dict[str, PrefixRunResult]:
+        """Producers of x whose reversible run halts within D, mapped to
+        that run; its pair is (p, x) because every producer is exact."""
+        runs = {p: reversible_view(r, budget.max_steps)
+                for p, r in self._producers(x, budget, aux).items()}
+        return {p: r for p, r in runs.items() if r.outcome == HALTED}
 
     # -- complexity -----------------------------------------------------------
 
@@ -341,14 +344,10 @@ class DepthLab:
         nested_ok = True
         for p in sorted(producers, key=lambda q: (len(q), q)):
             nested = self.k_bounded(p, budget, aux="")
-            if isinstance(nested, NoWitness):
-                nested_ok = False
+            known = not isinstance(nested, NoWitness)
+            nested_ok = nested_ok and known and nested.exhaustive
+            if not known or len(p) <= nested.k_upper + b:
                 kept.append(p)
-            else:
-                if not nested.exhaustive:
-                    nested_ok = False
-                if len(p) <= nested.k_upper + b:
-                    kept.append(p)
         return IncompressibleSet(x, b, aux, tuple(kept), nested_ok, budget)
 
     # -- logical depth -----------------------------------------------------------
@@ -376,13 +375,9 @@ class DepthLab:
         if isinstance(kx, NoWitness):
             return kx
         threshold = kx.k_upper + b
-        candidates: dict[str, PrefixRunResult] = {}
-        for p, _ in self._producers(x, budget, aux).items():
-            if len(p) > threshold:
-                continue
-            rev = self.rev_one(p, aux, budget.max_steps)
-            if rev.outcome == HALTED and rev.pair == (p, x):
-                candidates[p] = rev
+        candidates = {p: r for p, r in
+                      self._reversible_producers(x, budget, aux).items()
+                      if len(p) <= threshold}
         if not candidates:
             return NoWitness(x, aux, budget,
                              "no reversible run within budget at this level")
@@ -401,84 +396,59 @@ class DepthLab:
 
     # -- growth tables -------------------------------------------------------------
 
-    def _star_row(self, x: str, budget: Budget, aux: str,
-                  reversible: bool) -> tuple[str, int] | None:
-        """Canonical shortest program for x and its run time on the chosen
-        interpreter, or None when nothing qualifies within budget."""
-        runs: dict[str, PrefixRunResult] = {}
-        for p in self._producers(x, budget, aux):
-            if reversible:
-                r = self.rev_one(p, aux, budget.max_steps)
-                if r.outcome == HALTED and r.pair == (p, x):
-                    runs[p] = r
-            else:
-                runs[p] = self.run_one(p, aux, budget.max_steps)
-        if not runs:
-            return None
-        star = min(runs, key=lambda p: (len(p), p))
-        return star, runs[star].steps
-
-    def _minmax_table(self, kind: str, n_max: int, budget: Budget, aux: str,
-                      reversible: bool) -> GrowthTable:
+    def _growth_table(self, kind: str, variant: str, n_max: int,
+                      budget: Budget, row_of) -> GrowthTable:
+        """Row n is the max over |x| = n of ``row_of(x)``, a (value,
+        witness program, witness b) triple, with ties going to the first
+        x in lexicographic order.  The first x for which ``row_of`` gives
+        None (inconclusive within budget) ends the row as inconclusive."""
         rows = []
         for n in range(n_max + 1):
-            best: tuple[int, str, str] | None = None
-            failed: str | None = None
+            best = None
             for x in _binary_strings(n):
-                got = self._star_row(x, budget, aux, reversible)
+                got = row_of(x)
                 if got is None:
-                    failed = x
+                    rows.append(GrowthRow(n, None, x, "", None, True))
                     break
-                star, d = got
-                # max over x; ties resolved toward the lexicographically
-                # least witness by scanning x in order.
-                if best is None or d > best[0]:
-                    best = (d, x, star)
-            if failed is not None or best is None:
-                rows.append(GrowthRow(n, None, failed or "", "", None, True))
+                if best is None or got[0] > best[1][0]:
+                    best = x, got
             else:
-                rows.append(GrowthRow(n, best[0], best[1], best[2], None, False))
-        return GrowthTable(kind, "reversible" if reversible else "general",
-                           tuple(rows), budget, self.digest)
+                x, (value, program, b) = best
+                rows.append(GrowthRow(n, value, x, program, b, False))
+        return GrowthTable(kind, variant, tuple(rows), budget, self.digest)
 
     def psi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
         """Worst-case over length-n strings of the shortest program's
         reversible running time."""
-        return self._minmax_table("psi", n_max, budget, aux, reversible=True)
+        return self._growth_table(
+            "psi", "reversible", n_max, budget,
+            lambda x: _shortest(self._reversible_producers(x, budget, aux)))
 
     def phi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
-        return self._minmax_table("phi", n_max, budget, aux, reversible=False)
+        return self._growth_table(
+            "phi", "general", n_max, budget,
+            lambda x: _shortest(self._producers(x, budget, aux)))
 
     def f_table(self, n_max: int, budget: Budget, aux: str = "",
                 variant: str = "reversible") -> GrowthTable:
         """Largest one-level drop of depth: max over |x| = n, 0 <= b <= n
-        of ld_b(x) - ld_(b+1)(x)."""
-        rows = []
-        for n in range(n_max + 1):
-            best: tuple[int, str, int, str] | None = None
-            failed: str | None = None
-            for x in _binary_strings(n):
-                lds: dict[int, DepthRecord] = {}
-                bad = False
-                for b in range(n + 2):
-                    rec = self.logical_depth(x, b, budget, variant, aux)
-                    if isinstance(rec, NoWitness):
-                        bad = True
-                        break
-                    lds[b] = rec
-                if bad:
-                    failed = x
-                    break
-                for b in range(n + 1):
-                    diff = lds[b].ld - lds[b + 1].ld
-                    if best is None or diff > best[0]:
-                        best = (diff, x, b, lds[b].witness)
-            if failed is not None or best is None:
-                rows.append(GrowthRow(n, None, failed or "", "", None, True))
-            else:
-                rows.append(GrowthRow(n, best[0], best[1], best[3],
-                                      best[2], False))
-        return GrowthTable("f", variant, tuple(rows), budget, self.digest)
+        of ld_b(x) - ld_(b+1)(x), ties going to the first b."""
+        def drop(x: str) -> tuple[int, str, int] | None:
+            lds = []
+            for b in range(len(x) + 2):  # no level past a NoWitness runs
+                rec = self.logical_depth(x, b, budget, variant, aux)
+                if isinstance(rec, NoWitness):
+                    return None
+                lds.append(rec)
+            return max(((lds[b].ld - lds[b + 1].ld, lds[b].witness, b)
+                        for b in range(len(x) + 1)), key=lambda t: t[0])
+        return self._growth_table("f", variant, n_max, budget, drop)
+
+
+def _shortest(runs: dict[str, PrefixRunResult]) -> tuple[int, str, None] | None:
+    """Steps and program of the canonical shortest run, or None if there is none."""
+    star = min(runs, key=lambda p: (len(p), p), default=None)
+    return None if star is None else (runs[star].steps, star, None)
 
 
 def _binary_strings(n: int) -> list[str]:

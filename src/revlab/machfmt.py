@@ -65,12 +65,19 @@ def _parse_moves(text: str, line_no: int) -> tuple[int, ...]:
     return tuple(moves)
 
 
+def _check_tape_number(tape: int, expected: int, what: str, line_no: int) -> None:
+    # Tapes are numbered 1, 2, ... in file order: a repeated, skipped or
+    # out-of-order number would silently move a line to another tape.
+    if tape != expected:
+        raise MachineFormatError(line_no, f"{what} {tape} out of order, expected {expected}")
+
+
 def parse_machine(text: str) -> Machine | QuintupleMachine:
     """Parse a machine file.  Returns a QuintupleMachine when any
     ``quintuple`` line is present (mixing rule styles is rejected)."""
     name = None
     tape_count = None
-    alphabets: dict[int, Alphabet] = {}
+    alphabets: list[tuple[int, Alphabet]] = []  # (line number, alphabet)
     states: list[str] = []
     start = None
     halts: list[str] = []
@@ -101,9 +108,10 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
                 tape = int(fields[1])
             except ValueError:
                 raise MachineFormatError(line_no, f"bad tape number {fields[1]!r}")
+            _check_tape_number(tape, len(alphabets) + 1, "alphabet", line_no)
             blank = fields[3]
             symbols = frozenset(fields[5:]) | {blank}
-            alphabets[tape] = Alphabet(symbols, blank)
+            alphabets.append((line_no, Alphabet(symbols, blank)))
         elif key == "states":
             states.extend(fields[1:])
         elif key == "start":
@@ -146,13 +154,16 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
         raise MachineFormatError(0, "missing 'tapes' header")
     if start is None:
         raise MachineFormatError(0, "missing 'start' header")
-    for t in range(1, tape_count + 1):
-        if t not in alphabets:
-            raise MachineFormatError(0, f"missing alphabet for tape {t}")
+    if len(alphabets) < tape_count:
+        raise MachineFormatError(0, f"missing alphabet for tape {len(alphabets) + 1}")
+    if len(alphabets) > tape_count:
+        raise MachineFormatError(
+            alphabets[tape_count][0],
+            f"alphabet for tape {tape_count + 1} of a {tape_count}-tape machine")
     if quad_rules and quint_rules:
         raise MachineFormatError(0, "cannot mix rule and quintuple lines")
 
-    alpha = tuple(alphabets[t] for t in range(1, tape_count + 1))
+    alpha = tuple(a for _, a in alphabets)
     common = dict(
         name=name,
         alphabets=alpha,
@@ -225,9 +236,10 @@ def parse_configuration(text: str) -> Configuration:
                 raise MachineFormatError(
                     line_no, "expected: tape <n> head <h> cells <c1,c2,...|->")
             try:
-                head = int(fields[3])
+                tape, head = int(fields[1]), int(fields[3])
             except ValueError:
-                raise MachineFormatError(line_no, f"bad head {fields[3]!r}")
+                raise MachineFormatError(line_no, f"bad tape or head in {line!r}")
+            _check_tape_number(tape, len(tapes) + 1, "tape", line_no)
             if head < 0:
                 raise MachineFormatError(line_no, f"negative head {head}")
             tapes.append(_split_tuple(fields[5]))

@@ -557,20 +557,15 @@ def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
         sim.outcome, bits[:pos] + sim.program, sim.output, pos + sim.steps)
 
 
-def reversible_steps(u_steps: int, program: str, output: str) -> int:
-    """Step count of the Bennett-transformed interpreter for a halted run."""
-    return linear_bound(u_steps, len(program), len(output))
-
-
 def reversible_view(u: PrefixRunResult, budget: int) -> PrefixRunResult:
     """Map a forward interpreter result to the reversible emulation's.
 
-    A halted run takes reversible_steps(...) steps and outputs the pair
+    A halted run takes linear_bound(...) steps and outputs the pair
     (program, output); non-halting outcomes carry over (the emulation is
     only slower, so a forward non-halt within the budget implies a
     reversible non-halt within the same budget)."""
     if u.outcome == HALTED:
-        rev = reversible_steps(u.steps, u.program, u.output)
+        rev = linear_bound(u.steps, len(u.program), len(u.output))
         if rev <= budget:
             return PrefixRunResult(HALTED, u.program, u.output, rev,
                                    pair=(u.program, u.output))

@@ -102,11 +102,14 @@ def test_rev_reverse_roundtrip(capsys, corpus_dir, tmp_path):
     ("tape 1 head -3 cells 1,0\ntape 2 head 0 cells -\ntape 3 head 0 cells -\n",
      EXIT_USAGE),
     ("tape 1 head 0 cells 1,0\n", EXIT_INVALID),
-], ids=["head-1", "head-3", "one-tape"])
+    ("tape 2 head 0 cells -\ntape 1 head 0 cells 1,0\ntape 3 head 0 cells -\n",
+     EXIT_USAGE),
+], ids=["head-1", "head-3", "one-tape", "swapped-tapes"])
 def test_rev_reverse_rejects_impossible_configurations(capsys, tmp_path,
                                                        snapshot, want):
-    # A negative head is a parse error; a tape count other than the
-    # machine's is an invalid configuration.  Neither may read a cell.
+    # A negative head or a misnumbered tape is a parse error; a tape
+    # count other than the machine's is an invalid configuration.  None
+    # may read a cell.
     from revlab.reversal import bennett_transform
 
     bm = bennett_transform(corpus_entry("flipper").machine)

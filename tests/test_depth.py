@@ -1,6 +1,7 @@
 """Budget-bounded complexity, depth, growth tables, and the ledger."""
 
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -241,6 +242,37 @@ def test_f_variant_comparison(lab):
     assert all(r.value is not None and r.value >= 0 for r in gen.rows)
 
 
+def test_growth_rows_pinned_at_tight_budget(lab):
+    # At D=170 the reversible run of every producer of "00" and "000"
+    # exceeds the budget, so psi and f-rev turn inconclusive at the first
+    # x of those lengths, while phi and f-gen stay conclusive.
+    budget = Budget(8, 170)
+    rows = {
+        ("psi", "reversible"): [(0, 73, "", "0001", None, False),
+                                (1, 161, "0", "0011011", None, False),
+                                (2, None, "00", "", None, True),
+                                (3, None, "000", "", None, True)],
+        ("phi", "general"): [(0, 4, "", "0001", None, False),
+                             (1, 10, "0", "0011011", None, False),
+                             (2, 15, "00", "1101000001", None, False),
+                             (3, 31, "000", "00110101", None, False)],
+        ("f", "reversible"): [(0, 0, "", "0001", 0, False),
+                              (1, 0, "0", "0011011", 0, False),
+                              (2, None, "00", "", None, True),
+                              (3, None, "000", "", None, True)],
+        ("f", "general"): [(0, 0, "", "0001", 0, False),
+                           (1, 0, "0", "0011011", 0, False),
+                           (2, 0, "00", "1101000001", 0, False),
+                           (3, 0, "000", "110100000001", 0, False)],
+    }
+    tables = [lab.psi_table(3, budget), lab.phi_table(3, budget),
+              lab.f_table(3, budget, variant="reversible"),
+              lab.f_table(3, budget, variant="general")]
+    for table in tables:
+        assert table.budget == budget
+        assert [astuple(r) for r in table.rows] == rows[table.kind, table.variant]
+
+
 # --- budget monotonicity -----------------------------------------------------------
 
 def test_budget_monotonicity_in_steps(lab):
@@ -375,7 +407,7 @@ def test_producers_index_matches_scan(aux):
         scan = {p: r for p, r in halters.items() if r.output == x}
         seed = print_program(x)
         if seed not in scan:
-            r = lab.run_one(seed, aux, budget.max_steps)
+            r = lab.ledger.run(seed, aux, budget.max_steps)
             if r.outcome == HALTED and r.program == seed and r.output == x:
                 scan[seed] = r
         assert list(lab._producers(x, budget, aux).items()) == \

@@ -75,3 +75,41 @@ def test_configuration_snapshot_roundtrip():
     assert parse_configuration(text) == c
     # Bit-exact: serializing again yields the same text.
     assert serialize_configuration(parse_configuration(text)) == text
+
+
+MACHINE_HEAD = "machine x\ntapes {tapes}\n"
+MACHINE_TAIL = "states s\nstart s\nhalt s\n"
+
+
+@pytest.mark.parametrize("tapes, alphabets, bad_line", [
+    (1, ["alphabet 1 blank _ symbols 0 1", "alphabet 1 blank _ symbols 0"], 4),
+    (1, ["alphabet 1 blank _ symbols 0 1", "alphabet 5 blank _ symbols 0 1"], 4),
+    (1, ["alphabet 1 blank _ symbols 0 1", "alphabet 2 blank _ symbols 0 1"], 4),
+    (2, ["alphabet 2 blank _ symbols 0 1", "alphabet 1 blank _ symbols 0 1"], 3),
+    (1, ["alphabet 0 blank _ symbols 0 1"], 3),
+], ids=["repeated", "skipped", "past-tape-count", "swapped", "zero"])
+def test_parse_rejects_misnumbered_alphabets(tapes, alphabets, bad_line):
+    text = MACHINE_HEAD.format(tapes=tapes) + "\n".join(alphabets) + "\n" + MACHINE_TAIL
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine(text)
+    assert err.value.line_no == bad_line
+
+
+def test_parse_accepts_alphabets_before_tapes_line():
+    text = ("machine x\nalphabet 1 blank _ symbols 0 1\nalphabet 2 blank _ symbols 0\n"
+            "tapes 2\n" + MACHINE_TAIL)
+    assert parse_machine(text).tape_count == 2
+
+
+@pytest.mark.parametrize("tape_lines, bad_line", [
+    (["tape 2 head 0 cells 1", "tape 1 head 0 cells 0"], 3),
+    (["tape 1 head 0 cells 1", "tape 1 head 0 cells 0"], 4),
+    (["tape 7 head 0 cells -"], 3),
+    (["tape 0 head 0 cells -"], 3),
+    (["tape 1 head 0 cells 1", "tape 3 head 0 cells 0"], 4),
+], ids=["swapped", "repeated", "seven", "zero", "skipped"])
+def test_configuration_rejects_misnumbered_tapes(tape_lines, bad_line):
+    text = "state s\nsteps 0\n" + "\n".join(tape_lines) + "\n"
+    with pytest.raises(MachineFormatError) as err:
+        parse_configuration(text)
+    assert err.value.line_no == bad_line

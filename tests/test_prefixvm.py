@@ -36,7 +36,6 @@ from revlab.prefixvm import (
     prefix_free_check,
     print_machine,
     print_program,
-    reversible_steps,
     run_prefix,
     serialize_index,
     slow_repeater_machine,
@@ -45,6 +44,7 @@ from revlab.prefixvm import (
     universal_reversible_run,
     universal_run,
 )
+from revlab.reversal import linear_bound
 
 
 # --- codec --------------------------------------------------------------------
@@ -487,7 +487,7 @@ def test_reversible_pairs_every_halting_run():
         if u.outcome == HALTED:
             assert r.outcome == HALTED
             assert r.pair == (u.program, u.output)
-            assert r.steps == reversible_steps(u.steps, u.program, u.output)
+            assert r.steps == linear_bound(u.steps, len(u.program), len(u.output))
         else:
             assert r.outcome in (BUDGET_EXCEEDED, TAPE_EXHAUSTED)
             assert r.pair is None
@@ -509,7 +509,7 @@ def test_reversible_immediate_halt_pair():
 def test_reversible_budget_boundary():
     p = halt_program()
     u = universal_run(p, "", 100)
-    need = reversible_steps(u.steps, u.program, u.output)
+    need = linear_bound(u.steps, len(u.program), len(u.output))
     assert universal_reversible_run(p, "", need).outcome == HALTED
     assert universal_reversible_run(p, "", need - 1).outcome == BUDGET_EXCEEDED
 

@@ -10,8 +10,12 @@ D steps never halts.  The machinery:
   * one cache entry per (L, D, aux): the sweep, the tree of executed
     runs grown from "" by running both children of every tape-exhausted
     run, each for up to D steps, down to length L, stored with its
-    exactly-consumed halting runs grouped by output.  Every query reads
-    its producers from that index; a string extending a halted or
+    exactly-consumed halting runs grouped by output.  A child resumes
+    its parent's paused run with one more program bit, so no step of a
+    shared prefix is simulated twice; a child of a ledger hit has no
+    paused run and runs from scratch.  Paused runs live only until both
+    children have run and are never persisted.  Every query reads its
+    producers from that index; a string extending a halted or
     budget-exceeded run is never a program and is not stored;
   * the literal-print program of x is always seeded as a candidate, even
     beyond L, which keeps k_upper below the print bound whenever the
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -41,9 +46,12 @@ from typing import Optional
 from .prefixvm import (
     HALTED,
     TAPE_EXHAUSTED,
+    PausedRun,
     PrefixRunResult,
     print_program,
+    resume_run,
     reversible_view,
+    start_run,
     universal_machine,
     universal_run,
 )
@@ -124,8 +132,10 @@ class RunLedger:
 
     Hits are bit-identical to recomputation: the key is the exact query
     (bits, aux, budget) and the stored value the full result.  Only runs
-    this ledger executed (misses in ``run``) are persisted, and the
-    sweep's table holds nothing but executed runs.
+    this ledger executed (misses in ``run`` and ``extend``) are
+    persisted, and the sweep's table holds nothing but executed runs.
+    A resumed run is stored like any other; its paused run is not, so a
+    hit has none and the sweep runs its children from scratch.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -174,10 +184,25 @@ class RunLedger:
         key = (bits, aux, budget)
         hit = self._mem.get(key)
         if hit is None:
-            hit = universal_run(bits, aux, budget)
-            self._mem[key] = hit
+            hit = self._mem[key] = universal_run(bits, aux, budget)
             self._fresh.append(key)
         return hit
+
+    def extend(self, bits: str, aux: str, budget: int, parent: PausedRun | None
+               ) -> tuple[PrefixRunResult, PausedRun | None]:
+        """``run`` for the sweep, with the run's paused run when it
+        exhausted ``bits``.  A miss resumes ``parent``, the paused run of
+        ``bits[:-1]``, when there is one, and runs from scratch otherwise;
+        a hit has no paused run.  Paused runs are never stored."""
+        key = (bits, aux, budget)
+        hit = self._mem.get(key)
+        if hit is not None:
+            return hit, None
+        result, paused = (start_run(bits, aux, budget) if parent is None
+                          else resume_run(parent, bits, budget))
+        self._mem[key] = result
+        self._fresh.append(key)
+        return result, paused
 
     def put(self, bits: str, aux: str, budget: int, result: PrefixRunResult) -> None:
         """Record a result known to equal recomputation, in memory only."""
@@ -258,18 +283,24 @@ class DepthLab:
         extension) and is never a program, so it is not stored.  The
         table holds only executed runs: ``""`` and, layer by layer, the
         two children of every tape-exhausted entry, each run through the
-        ledger for <= D steps.  It is in canonical (length,
-        lexicographic) order, and cached with its exact halters grouped
-        by output, the index ``_producers`` reads.
+        ledger for <= D steps.  A child missing from the ledger resumes
+        its parent's paused run when the parent was executed here, and
+        runs from scratch when the parent was a ledger hit; either way
+        the result is the from-scratch run's.  Each paused run is
+        dropped once both children have run.  The table is in canonical
+        (length, lexicographic) order, and cached with its exact halters
+        grouped by output, the index ``_producers`` reads.
         """
         if (budget, aux) not in self._sweeps:
-            table = {"": self.ledger.run("", aux, budget.max_steps)}
-            layer = [""]
-            for _ in range(budget.max_len):
-                layer = [w + b for w in layer
-                         if table[w].outcome == TAPE_EXHAUSTED for b in "01"]
-                for bits in layer:
-                    table[bits] = self.ledger.run(bits, aux, budget.max_steps)
+            table = {}
+            queue = deque([("", None)])  # (bits, its parent's paused run)
+            while queue:
+                bits, parent = queue.popleft()
+                r, paused = self.ledger.extend(bits, aux, budget.max_steps, parent)
+                table[bits] = r
+                if r.outcome == TAPE_EXHAUSTED and len(bits) < budget.max_len:
+                    queue.append((bits + "0", paused))
+                    queue.append((bits + "1", paused))
             by_output: dict[str, dict[str, PrefixRunResult]] = {}
             for bits, r in table.items():
                 if _exact(bits, r):
@@ -402,6 +433,8 @@ class DepthLab:
         witness program, witness b) triple, with ties going to the first
         x in lexicographic order.  The first x for which ``row_of`` gives
         None (inconclusive within budget) ends the row as inconclusive."""
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         rows = []
         for n in range(n_max + 1):
             best = None

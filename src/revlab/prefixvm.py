@@ -28,17 +28,21 @@ of the description string doubled, terminated by "01"; the pair "10" is
 malformed and diverges), then simulates machine i on the remaining bit
 stream.  One interpreter step is one bit consumed while decoding <i>
 plus one step per simulated step of machine i; divergence consumes the
-whole budget.  The reversible counterpart reports the step count the
-Bennett transform of the interpreter would take, using the transform's
-own construction constants, and pairs the program with the output.
+whole budget.  A run of machine i that exhausts its bits can be paused
+and resumed on longer bits, with the result of running those from
+scratch (``start_run``, ``resume_run``).  The reversible counterpart
+reports the step count the Bennett transform of the interpreter would
+take, using the transform's own construction constants, and pairs the
+program with the output.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .machines import (  # the outcome names are re-exported
     BUDGET_EXCEEDED,
@@ -97,21 +101,16 @@ def decode_index(bits: str) -> tuple[int, int] | None:
 
     Raises MalformedIndex on the pair "10".
     """
-    out = []
-    pos = 0
-    while True:
-        if pos + 2 > len(bits):
-            return None
-        pair = bits[pos:pos + 2]
-        pos += 2
-        if pair == "01":
-            return index_of_string("".join(out)), pos
-        if pair == "00":
-            out.append("0")
-        elif pair == "11":
-            out.append("1")
-        else:
-            raise MalformedIndex(pos)
+    pos = _DOUBLED.match(bits).end()  # the next pair is "01", "10" or cut
+    pair = bits[pos:pos + 2]
+    if len(pair) < 2:
+        return None
+    if pair == "10":
+        raise MalformedIndex(pos + 2)
+    return index_of_string(bits[0:pos:2]), pos + 2
+
+
+_DOUBLED = re.compile(r"(?:00|11)*")
 
 
 class MalformedIndex(Exception):
@@ -492,11 +491,60 @@ def run_prefix(m: Machine, bits: str, aux: str, budget: int) -> PrefixRunResult:
     """
     if m.tape_count != 4:
         raise MachineError(f"prefix machine needs 4 tapes, got {m.tape_count}")
-    tapes = [list(bits), list(aux), [], []]
-    outcome, _, steps, scanned = execute(
-        m, m.start_state, tapes, [0, 0, 0, 0], budget, bounded=True)
+    return resume_run(_fresh(m, aux, 0), bits, budget)[0]
+
+
+class PausedRun(NamedTuple):
+    """A prefix run stopped TapeExhausted, to be continued on more bits.
+
+    It holds what the run has computed: machine ``machine`` behind a
+    decoded index of ``index_len`` bits, its state, tapes 2-4 and heads
+    (the tape-1 head counts from the end of the index), the steps taken
+    and the program bits scanned, index included.  Tape 1 is not kept,
+    since :func:`machines.execute` padded it with a blank where the bits
+    ran out: it is rebuilt from the longer bits, which must extend the
+    bits the run was paused on.  :func:`resume_run` copies the tapes, so
+    one paused run continues any number of extensions.
+    """
+
+    machine: Machine
+    index_len: int
+    state: str
+    tapes: tuple[list[str], ...]
+    heads: tuple[int, ...]
+    steps: int
+    scanned: int
+
+
+def _fresh(m: Machine, aux: str, index_len: int) -> PausedRun:
+    """Machine ``m`` about to start after an index of ``index_len`` bits."""
+    return PausedRun(m, index_len, m.start_state, (list(aux), [], []),
+                     (0, 0, 0, 0), index_len, index_len)
+
+
+def resume_run(paused: PausedRun, bits: str,
+               budget: int) -> tuple[PrefixRunResult, PausedRun | None]:
+    """Continue ``paused`` on ``bits`` within ``budget`` steps in all.
+
+    For any budget >= ``paused.steps`` this gives the result of running
+    ``bits`` from scratch, steps included, because the paused
+    configuration is where that run stood after ``paused.steps`` steps.
+    A run that exhausts ``bits`` comes back with its own paused run;
+    any other outcome with None.
+    """
+    m, pos = paused.machine, paused.index_len
+    tapes = [list(bits[pos:]), *map(list, paused.tapes)]
+    heads = list(paused.heads)
+    outcome, state, taken, scanned = execute(
+        m, paused.state, tapes, heads, budget - paused.steps, bounded=True)
+    steps = paused.steps + taken
+    scanned = pos + scanned if scanned else paused.scanned
     output = blank_free_prefix(tapes[3], m.alphabets[3].blank)
-    return PrefixRunResult(outcome, bits[:scanned], output, steps)
+    result = PrefixRunResult(outcome, bits[:scanned], output, steps)
+    if outcome != TAPE_EXHAUSTED:
+        return result, None
+    return result, PausedRun(m, pos, state, tuple(tapes[1:]), tuple(heads),
+                             steps, scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -538,23 +586,29 @@ def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
     simulated step.  Malformed indices and malformed descriptions
     diverge (never a parse error) so halting programs stay prefix-free.
     """
+    return start_run(bits, aux, budget)[0]
+
+
+def start_run(bits: str, aux: str,
+              budget: int) -> tuple[PrefixRunResult, PausedRun | None]:
+    """:func:`universal_run` from scratch, with the paused run when
+    machine i exhausted ``bits`` (see :func:`resume_run`).  A run
+    exhausted while decoding <i> has none: its extensions decode anew."""
     if budget < 0:
         raise MachineError("budget must be >= 0")
     # One step per bit read; the decoder sees only the bits the budget
     # lets it read, and exhaustion is checked before the budget, like the
-    # per-step order in run_prefix.
+    # per-step order in machines.execute.
     readable = bits[:budget]
     try:
         decoded = decode_index(readable)
     except MalformedIndex as exc:  # the pair "10": diverge
-        return _spin_out(bits[:exc.consumed], budget)
+        return _spin_out(bits[:exc.consumed], budget), None
     if decoded is None:
         outcome = TAPE_EXHAUSTED if len(readable) == len(bits) else BUDGET_EXCEEDED
-        return PrefixRunResult(outcome, readable, "", len(readable))
+        return PrefixRunResult(outcome, readable, "", len(readable)), None
     i, pos = decoded
-    sim = run_prefix(enumerate_machine(i), bits[pos:], aux, budget - pos)
-    return PrefixRunResult(
-        sim.outcome, bits[:pos] + sim.program, sim.output, pos + sim.steps)
+    return resume_run(_fresh(enumerate_machine(i), aux, pos), bits, budget)
 
 
 def reversible_view(u: PrefixRunResult, budget: int) -> PrefixRunResult:
@@ -623,6 +677,8 @@ def prefix_free_check(max_len: int, budget: int, aux: str = "",
                       runner=universal_run) -> CheckReport:
     """Exhaustively run every bit string up to max_len and verify the set
     of halting programs is an antichain under the prefix order."""
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     programs = set()
     runs = 0
     for bits in all_bit_strings(max_len):

@@ -1,11 +1,14 @@
-"""The benchmark's tracer still finds every revlab name it wraps.
+"""The benchmark's hooks into revlab still hold.
 
 ``perfbench/tracing.py`` replaces layer functions where their callers
 look them up and raises ``KeyError`` on a missing one, so deleting or
 renaming a traced name fails here in milliseconds, not only in the
-benchmark's own smoke test.
+benchmark's own smoke test.  The small sweep-cold command must still
+print the rows ``perfbench/expected.json`` holds for it, so a sweep
+regression fails here too.
 """
 
+import json
 from pathlib import Path
 
 import revlab
@@ -32,3 +35,18 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in _owners()] == before
+
+
+def test_small_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    size = workloads.SIZES["smoke"]
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    want = expected["sweep_cold"][str(size.sweep_len)]
+    assert size.sweep_len == 8
+    rc = revlab.cli.main(workloads.sweep_argv(size, str(tmp_path)))
+    envelopes = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == want["rc"]
+    assert [e["payload"] for e in envelopes] == want["payloads"]
+    assert {e["digest"] for e in envelopes} == {expected["digest"]}

@@ -230,6 +230,19 @@ def test_non_binary_depth_input_fails_before_any_run(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["depth", "table", "f", "--n-max", "-1", "--max-len", "4", "--budget", "100"],
+    ["univ", "check-prefix", "--max-len", "-3", "--budget", "10"],
+])
+def test_negative_lengths_are_rejected(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("REVLAB_CACHE", str(tmp_path))
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= 0" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_dir_roundtrip(capsys, tmp_path):
     argv = ["depth", "k", "0", "--max-len", "8", "--budget", "1000",
             "--cache-dir", str(tmp_path)]

@@ -18,6 +18,8 @@ from revlab.prefixvm import (
     TAPE_EXHAUSTED,
     all_bit_strings,
     print_program,
+    resume_run,
+    start_run,
     universal_reversible_run,
     universal_run,
 )
@@ -319,6 +321,55 @@ def test_sweep_is_the_tree_of_executed_runs(budget, aux):
     assert lab.exact_halters(budget, aux) == direct
 
 
+def _tree_from_scratch(budget, aux):
+    table, layer = {}, [""]
+    while layer:
+        grown = []
+        for bits in layer:
+            r = table[bits] = universal_run(bits, aux, budget.max_steps)
+            if r.outcome == TAPE_EXHAUSTED and len(bits) < budget.max_len:
+                grown += [bits + "0", bits + "1"]
+        layer = grown
+    return table
+
+
+# Every D up to 40, then pairs (D, D + 1) every six, so that a parent's
+# exhaustion step count, or one more, is often the child's whole budget.
+RESUME_BUDGETS = [*range(41), *(d + e for d in range(41, 120, 6) for e in (0, 1)),
+                  800, 3000, 100_000]
+
+
+@pytest.mark.parametrize("aux", ["", "1", "1011"])
+def test_resumed_sweep_equals_runs_from_scratch(aux):
+    lab = DepthLab()
+    for d in RESUME_BUDGETS:
+        budget = Budget(11, d)
+        want = _tree_from_scratch(budget, aux)
+        assert list(lab.sweep(budget, aux).items()) == list(want.items()), d
+
+
+def test_children_of_ledger_hits_run_from_scratch(tmp_path):
+    budget = Budget(12, 100_000)
+    cold = DepthLab(ledger=RunLedger(tmp_path / "cold"))
+    cold_table = cold.sweep(budget)
+    cold.ledger.save()
+    cold_lines = (tmp_path / "cold" / f"{cold.digest}.jsonl").read_text().splitlines()
+
+    part = DepthLab(ledger=RunLedger(tmp_path / "part"))
+    part.sweep(Budget(9, budget.max_steps))
+    part.ledger.save()
+    path = tmp_path / "part" / f"{part.digest}.jsonl"
+    kept = path.read_text().splitlines()[::2]
+    path.write_text("".join(line + "\n" for line in kept))
+
+    warm = DepthLab(ledger=RunLedger(tmp_path / "part"))
+    assert list(warm.sweep(budget).items()) == list(cold_table.items())
+    warm.ledger.save()
+    appended = path.read_text().splitlines()[len(kept):]
+    have = set(kept)
+    assert appended == [line for line in cold_lines if line not in have]
+
+
 # --- ledger -------------------------------------------------------------------------
 
 def test_ledger_roundtrip(tmp_path):
@@ -362,11 +413,14 @@ def test_ledgers_sharing_a_cache_keep_each_others_runs(tmp_path, monkeypatch):
 def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
     calls = []
 
-    def counting(bits, aux, budget):
-        calls.append(bits)
-        return universal_run(bits, aux, budget)
+    def counting(entry):
+        def run(*args):
+            calls.append(entry.__name__)
+            return entry(*args)
+        return run
 
-    monkeypatch.setattr("revlab.depth.universal_run", counting)
+    monkeypatch.setattr("revlab.depth.start_run", counting(start_run))
+    monkeypatch.setattr("revlab.depth.resume_run", counting(resume_run))
     cold = DepthLab(ledger=RunLedger(tmp_path))
     table = cold.sweep(QUICK)
     cold.ledger.save()
@@ -379,6 +433,9 @@ def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
     warm = DepthLab(ledger=RunLedger(tmp_path))
     assert warm.sweep(QUICK) == table
     assert calls == []
+
+    DepthLab().sweep(Budget(12, 3000))
+    assert "resume_run" in calls
 
 
 # --- upper-bound sanity ------------------------------------------------------------

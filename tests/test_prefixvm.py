@@ -19,7 +19,9 @@ from revlab.machines import (
 from revlab.prefixvm import (
     BUDGET_EXCEEDED,
     HALTED,
+    SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
+    MalformedIndex,
     _prefix_machine,
     aux_copy_machine,
     all_bit_strings,
@@ -36,9 +38,11 @@ from revlab.prefixvm import (
     prefix_free_check,
     print_machine,
     print_program,
+    resume_run,
     run_prefix,
     serialize_index,
     slow_repeater_machine,
+    start_run,
     string_of_index,
     universal_machine,
     universal_reversible_run,
@@ -59,6 +63,26 @@ def test_index_code_roundtrip():
         code = encode_index(i)
         assert decode_index(code) == (i, len(code))
         assert decode_index(code + "10101") == (i, len(code))
+
+
+def test_decode_index_matches_reading_pair_by_pair():
+    def by_pairs(bits):
+        desc = ""
+        for pos in range(0, len(bits) - 1, 2):
+            pair = bits[pos:pos + 2]
+            if pair == "01":
+                return index_of_string(desc), pos + 2
+            if pair == "10":
+                return "malformed", pos + 2
+            desc += pair[0]
+        return None
+
+    for bits in all_bit_strings(12):
+        try:
+            got = decode_index(bits)
+        except MalformedIndex as exc:
+            got = "malformed", exc.consumed
+        assert got == by_pairs(bits), bits
 
 
 def test_index_code_prefix_free():
@@ -469,6 +493,41 @@ def test_universal_run_fingerprint():
                          f"{r.output}|{r.steps}\n".encode())
     assert h.hexdigest() == \
         "f316165b59e6e8ae2165e25b6aa1b9b9f07531510f99e1c02b3702107caaf323"
+
+
+def _resumed_tree(bits, aux, budget, extra):
+    """Every extension of ``bits`` by up to ``extra`` bits, each resumed
+    from its parent's paused run, mapped to its result."""
+    r, paused = start_run(bits, aux, budget)
+    out, layer = {bits: r}, [(bits, paused)]
+    for _ in range(extra):
+        grown = []
+        for w, parent in layer:
+            for b in "01":
+                r, paused = (start_run(w + b, aux, budget) if parent is None
+                             else resume_run(parent, w + b, budget))
+                out[w + b] = r
+                grown.append((w + b, paused))
+        layer = grown
+    return out
+
+
+def test_resumed_run_equals_run_from_scratch():
+    # Slow zeros paused on a growing payload, resumed under every budget
+    # from the pause's steps up; exhaustion while decoding <i> pauses
+    # nothing.  The skipper's program head moves two cells past the bit
+    # it read, so its next pause has scanned no new bit.
+    skipper = four_tape("skipper", "s0", [
+        *read_bit("s0", "0", "_", "s1"), *read_bit("s0", "1", "_", "s1"),
+        ShiftRule("s1", (1, 0, 0, 0), "s2"), ShiftRule("s2", (1, 0, 0, 0), "s3"),
+        *read_bit("s3", "0", "0", "s4"), *read_bit("s3", "1", "1", "s4")])
+    assert start_run(encode_index(SLOW_ZEROS_INDEX)[:3], "", 100)[1] is None
+    slow = encode_index(SLOW_ZEROS_INDEX) + "000"
+    paused = start_run(slow, "1", 10_000)[1]
+    for budget in (paused.steps, paused.steps + 1, paused.steps + 40, 10_000):
+        for prefix in (slow, encode_index(serialize_index(skipper))):
+            for bits, r in _resumed_tree(prefix, "1", budget, 3).items():
+                assert r == universal_run(bits, "1", budget), (bits, budget)
 
 
 def test_universal_aux_conditional():

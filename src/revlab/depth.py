@@ -127,6 +127,12 @@ class GrowthTable:
     universal_digest: str
 
 
+# One ledger line, keys in sorted order, as ``json.dumps(..., sort_keys=True)``
+# writes it when no string needs escaping.
+_LINE = ('{{"aux": "{}", "bits": "{}", "budget": {}, "outcome": "{}", '
+         '"output": "{}", "program": "{}", "steps": {}}}\n')
+
+
 class RunLedger:
     """Cache of executed interpreter runs, persisted per digest.
 
@@ -223,11 +229,15 @@ class RunLedger:
         lines = []
         for bits, aux, budget in self._fresh:
             r = self._mem[(bits, aux, budget)]
-            lines.append(json.dumps(
-                {"bits": bits, "aux": aux, "budget": budget,
-                 "outcome": r.outcome, "program": r.program,
-                 "output": r.output, "steps": r.steps},
-                sort_keys=True) + "\n")
+            if (bits + aux + r.output + r.program).strip("01"):
+                lines.append(json.dumps(
+                    {"bits": bits, "aux": aux, "budget": budget,
+                     "outcome": r.outcome, "program": r.program,
+                     "output": r.output, "steps": r.steps},
+                    sort_keys=True) + "\n")
+            else:  # nothing to escape: the same bytes, formatted directly
+                lines.append(_LINE.format(aux, bits, budget, r.outcome,
+                                          r.output, r.program, r.steps))
         data = "".join(lines).encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("ab+", buffering=0) as fh:
@@ -330,19 +340,11 @@ class DepthLab:
                 out[seed] = r
         return out
 
-    def _reversible_producers(self, x: str, budget: Budget,
-                              aux: str) -> dict[str, PrefixRunResult]:
-        """Producers of x whose reversible run halts within D, mapped to
-        that run; its pair is (p, x) because every producer is exact."""
-        runs = {p: reversible_view(r, budget.max_steps)
-                for p, r in self._producers(x, budget, aux).items()}
-        return {p: r for p, r in runs.items() if r.outcome == HALTED}
-
     # -- complexity -----------------------------------------------------------
 
-    def k_bounded(self, x: str, budget: Budget,
-                  aux: str = "") -> ComplexityRecord | NoWitness:
-        producers = self._producers(x, budget, aux)
+    def _k_record(self, x: str, budget: Budget, aux: str,
+                  producers: dict[str, PrefixRunResult]) -> ComplexityRecord | NoWitness:
+        """k(x) from the producers of x; NoWitness when there are none."""
         if not producers:
             return NoWitness(x, aux, budget, "no producing program within budget")
         k_upper = min(len(p) for p in producers)
@@ -351,12 +353,30 @@ class DepthLab:
         return ComplexityRecord(x, aux, k_upper, witnesses, budget,
                                 exhaustive, self.digest)
 
+    def k_bounded(self, x: str, budget: Budget,
+                  aux: str = "") -> ComplexityRecord | NoWitness:
+        return self._k_record(x, budget, aux, self._producers(x, budget, aux))
+
     def shortest_programs(self, x: str, budget: Budget,
                           aux: str = "") -> tuple[str, ...] | NoWitness:
         rec = self.k_bounded(x, budget, aux)
         if isinstance(rec, NoWitness):
             return rec
         return rec.witnesses
+
+    def _nested(self, producers: dict[str, PrefixRunResult],
+                budget: Budget) -> tuple[list[tuple[str, Optional[int]]], bool]:
+        """Producers in (length, lexicographic) order, each with its nested
+        k_upper (same budget, empty aux; None for a NoWitness), and whether
+        every nested record is exhaustive."""
+        nested = []
+        exhaustive = True
+        for p in sorted(producers, key=lambda q: (len(q), q)):
+            rec = self.k_bounded(p, budget, aux="")
+            known = not isinstance(rec, NoWitness)
+            exhaustive = exhaustive and known and rec.exhaustive
+            nested.append((p, rec.k_upper if known else None))
+        return nested, exhaustive
 
     def incompressible_programs(self, x: str, b: int, budget: Budget,
                                 aux: str = "") -> IncompressibleSet | NoWitness:
@@ -370,60 +390,70 @@ class DepthLab:
             raise ValueError("significance level must be >= 0")
         producers = self._producers(x, budget, aux)
         if not producers:
-            return NoWitness(x, aux, budget, "no producing program within budget")
-        kept = []
-        nested_ok = True
-        for p in sorted(producers, key=lambda q: (len(q), q)):
-            nested = self.k_bounded(p, budget, aux="")
-            known = not isinstance(nested, NoWitness)
-            nested_ok = nested_ok and known and nested.exhaustive
-            if not known or len(p) <= nested.k_upper + b:
-                kept.append(p)
-        return IncompressibleSet(x, b, aux, tuple(kept), nested_ok, budget)
+            return self._k_record(x, budget, aux, producers)
+        nested, exhaustive = self._nested(producers, budget)
+        return IncompressibleSet(x, b, aux, _kept(nested, b), exhaustive, budget)
 
     # -- logical depth -----------------------------------------------------------
 
+    def _depths(self, x: str, levels, budget: Budget, variant: str,
+                aux: str) -> list[DepthRecord | NoWitness]:
+        """ld_b(x) for every b in ``levels``.  The work that does not
+        depend on b is done once: the producers of x, k(x) and their
+        reversible runs, or each producer's nested complexity.
+
+        Reversible: the least reversible-interpreter step count over
+        programs p with pair output (p, x) and |p| <= k_upper(x) + b.
+        General: the least step count over the b-incompressible
+        producers (see :meth:`incompressible_programs`).
+        """
+        reversible = variant in ("reversible", "rev")
+        if not reversible and variant not in ("general", "gen"):
+            raise ValueError(f"unknown variant {variant!r}")
+        if min(levels) < 0:
+            raise ValueError("significance level must be >= 0")
+        producers = self._producers(x, budget, aux)
+        if not producers:
+            return [self._k_record(x, budget, aux, producers)] * len(levels)
+        out: list[DepthRecord | NoWitness] = []
+        if reversible:
+            kx = self._k_record(x, budget, aux, producers)
+            runs = _reversible_runs(producers, budget)
+            for b in levels:
+                threshold = kx.k_upper + b
+                candidates = [p for p in runs if len(p) <= threshold]
+                if not candidates:
+                    out.append(NoWitness(
+                        x, aux, budget,
+                        "no reversible run within budget at this level"))
+                    continue
+                best = min(candidates, key=lambda p: (runs[p].steps, len(p), p))
+                exhaustive = kx.exhaustive and threshold <= budget.max_len
+                out.append(DepthRecord(x, b, runs[best].steps, best, "reversible",
+                                       budget, exhaustive, self.digest))
+            return out
+        nested, exhaustive = self._nested(producers, budget)
+        for b in levels:
+            kept = _kept(nested, b)
+            if not kept:
+                out.append(NoWitness(x, aux, budget, "no incompressible producer"))
+                continue
+            best = min(kept, key=lambda p: (producers[p].steps, len(p), p))
+            out.append(DepthRecord(x, b, producers[best].steps, best, "general",
+                                   budget, exhaustive, self.digest))
+        return out
+
     def logical_depth_general(self, x: str, b: int, budget: Budget,
                               aux: str = "") -> DepthRecord | NoWitness:
-        inc = self.incompressible_programs(x, b, budget, aux)
-        if isinstance(inc, NoWitness):
-            return inc
-        if not inc.programs:
-            return NoWitness(x, aux, budget, "no incompressible producer")
-        producers = self._producers(x, budget, aux)
-        best = min(inc.programs,
-                   key=lambda p: (producers[p].steps, len(p), p))
-        return DepthRecord(x, b, producers[best].steps, best, "general",
-                           budget, inc.nested_exhaustive, self.digest)
+        return self._depths(x, [b], budget, "general", aux)[0]
 
     def logical_depth_reversible(self, x: str, b: int, budget: Budget,
                                  aux: str = "") -> DepthRecord | NoWitness:
-        """Least reversible-interpreter step count over programs p with
-        pair output (p, x) and |p| <= k_upper(x) + b."""
-        if b < 0:
-            raise ValueError("significance level must be >= 0")
-        kx = self.k_bounded(x, budget, aux)
-        if isinstance(kx, NoWitness):
-            return kx
-        threshold = kx.k_upper + b
-        candidates = {p: r for p, r in
-                      self._reversible_producers(x, budget, aux).items()
-                      if len(p) <= threshold}
-        if not candidates:
-            return NoWitness(x, aux, budget,
-                             "no reversible run within budget at this level")
-        best = min(candidates, key=lambda p: (candidates[p].steps, len(p), p))
-        exhaustive = kx.exhaustive and threshold <= budget.max_len
-        return DepthRecord(x, b, candidates[best].steps, best, "reversible",
-                           budget, exhaustive, self.digest)
+        return self._depths(x, [b], budget, "reversible", aux)[0]
 
     def logical_depth(self, x: str, b: int, budget: Budget, variant: str,
                       aux: str = "") -> DepthRecord | NoWitness:
-        if variant in ("reversible", "rev"):
-            return self.logical_depth_reversible(x, b, budget, aux)
-        if variant in ("general", "gen"):
-            return self.logical_depth_general(x, b, budget, aux)
-        raise ValueError(f"unknown variant {variant!r}")
+        return self._depths(x, [b], budget, variant, aux)[0]
 
     # -- growth tables -------------------------------------------------------------
 
@@ -455,7 +485,8 @@ class DepthLab:
         reversible running time."""
         return self._growth_table(
             "psi", "reversible", n_max, budget,
-            lambda x: _shortest(self._reversible_producers(x, budget, aux)))
+            lambda x: _shortest(_reversible_runs(self._producers(x, budget, aux),
+                                                 budget)))
 
     def phi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
         return self._growth_table(
@@ -467,15 +498,25 @@ class DepthLab:
         """Largest one-level drop of depth: max over |x| = n, 0 <= b <= n
         of ld_b(x) - ld_(b+1)(x), ties going to the first b."""
         def drop(x: str) -> tuple[int, str, int] | None:
-            lds = []
-            for b in range(len(x) + 2):  # no level past a NoWitness runs
-                rec = self.logical_depth(x, b, budget, variant, aux)
-                if isinstance(rec, NoWitness):
-                    return None
-                lds.append(rec)
+            lds = self._depths(x, range(len(x) + 2), budget, variant, aux)
+            if any(isinstance(rec, NoWitness) for rec in lds):
+                return None
             return max(((lds[b].ld - lds[b + 1].ld, lds[b].witness, b)
                         for b in range(len(x) + 1)), key=lambda t: t[0])
         return self._growth_table("f", variant, n_max, budget, drop)
+
+
+def _reversible_runs(producers: dict[str, PrefixRunResult],
+                     budget: Budget) -> dict[str, PrefixRunResult]:
+    """Producers whose reversible run halts within D, mapped to that run;
+    its pair is (p, x) because every producer is exact."""
+    runs = {p: reversible_view(r, budget.max_steps) for p, r in producers.items()}
+    return {p: r for p, r in runs.items() if r.outcome == HALTED}
+
+
+def _kept(nested: list[tuple[str, Optional[int]]], b: int) -> tuple[str, ...]:
+    """The b-incompressible producers of a :meth:`DepthLab._nested` list."""
+    return tuple(p for p, k in nested if k is None or len(p) <= k + b)
 
 
 def _shortest(runs: dict[str, PrefixRunResult]) -> tuple[int, str, None] | None:

@@ -309,9 +309,18 @@ class _ExecTable:
     loop keeps its tapes padded, every head on a cell (see
     :func:`execute`), so it reads and writes without bounds checks and
     hands its tapes back with trailing blanks.
+
+    A ReadWrite entry's third field marks a scan loop: an entry of
+    state S whose write changes at most tape i and whose successor T
+    is a shift state moving head i alone, by d, back to S.  It holds
+    (i, d, cells), where ``cells`` maps the symbol under head i to the
+    symbol written, for every entry of S through the same T with the
+    same reads on the other tapes (one shared dict), so :func:`execute`
+    can step cell after cell without returning to its dispatch.  The
+    field is None on every other entry.
     """
 
-    # state -> {read_tuple: (changes, to_state)}
+    # state -> {read_tuple: (changes, to_state, scan or None)}
     rw: dict[str, dict[tuple[str, ...], tuple]]
     # state -> (moves, to_state)
     shift: dict[str, tuple]
@@ -354,9 +363,7 @@ def _compile(m: Machine) -> _ExecTable:
                             in enumerate(zip(rule.reads, rule.writes)) if r != w)
             if changes and changes[0][0] == 0 and unbounded_input is None:
                 unbounded_input = "program tape is read-only"
-            changes = shared.setdefault(changes, changes)
-            table[rule.reads] = shared.setdefault((changes, rule.to_state),
-                                                  (changes, rule.to_state))
+            table[rule.reads] = (shared.setdefault(changes, changes), rule.to_state)
     spins: set[str] = set()
     seen: set[str] = set()
     for state in shift:
@@ -368,6 +375,19 @@ def _compile(m: Machine) -> _ExecTable:
         if state in walk or state in spins:
             spins.update(walk)
     live = {s: e for s, e in shift.items() if s not in spins}
+    for state, table in rw.items():
+        scans: dict[tuple, tuple] = {}  # (T, other reads) -> (i, d, cells)
+        for reads, (changes, to) in table.items():
+            scan = None
+            moves, back = shift.get(to, ((), None))
+            if back == state and len(moves) == 1:
+                i, d = moves[0]
+                if all(t == i for t, _ in changes):
+                    scan = scans.setdefault((to, reads[:i] + reads[i + 1:]),
+                                            (i, d, {}))
+                    scan[2][reads[i]] = changes[0][1] if changes else reads[i]
+            entry = (changes, to, scan)
+            table[reads] = entry if scan else shared.setdefault(entry, entry)
     return _ExecTable(rw, shift, frozenset(spins), live, unbounded_input)
 
 
@@ -475,6 +495,14 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     :func:`step`, except that a bounded run entering a spin state ends
     BUDGET_EXCEEDED at once with ``budget`` steps, its heads and state
     left where the spin began (prefix runs discard them).
+
+    A ReadWrite entry whose third field marks a scan loop (see
+    :class:`_ExecTable`) runs, with at least 2 steps of budget left, as
+    one inner loop on its tape: per cell it writes, moves (clamping at 0,
+    appending a blank past the end) and counts 2 steps, for at most
+    half the remaining budget and, on a bounded tape 1, up to the end
+    of the prefix.  It stops in the ReadWrite state, where the loop
+    above goes on, so the result stays that of iterated :func:`step`.
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
@@ -507,9 +535,34 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
             if taken >= budget:
                 outcome = BUDGET_EXCEEDED
                 break
-            changes, state = hit
+            changes, to, scan = hit
+            if scan is not None and budget - taken > 1:
+                # A scan loop: two steps a cell, ending back in ``state``.
+                i, d, cells = scan
+                tape = tapes[i]
+                h = heads[i]
+                n = left = (budget - taken) // 2
+                if bounded and not i:  # stop where the prefix ends
+                    n = left = min(n, limit - h)
+                while left:
+                    w = cells.get(tape[h])
+                    if w is None:
+                        break
+                    tape[h] = w
+                    h += d
+                    if h < 0:
+                        h = 0
+                    elif h == len(tape):
+                        tape.append(blanks[i])
+                    left -= 1
+                heads[i] = h
+                if bounded and not i:  # one past the last program cell read
+                    scanned = h
+                taken += 2 * (n - left)
+                continue
             for i, w in changes:
                 tapes[i][heads[i]] = w
+            state = to
         else:
             hit = shift.get(state)
             if hit is None:

@@ -4,8 +4,9 @@
 look them up and raises ``KeyError`` on a missing one, so deleting or
 renaming a traced name fails here in milliseconds, not only in the
 benchmark's own smoke test.  The small sweep-cold command must still
-print the rows ``perfbench/expected.json`` holds for it, so a sweep
-regression fails here too.
+print the rows ``perfbench/expected.json`` holds for it, and the small
+interp-long runs must pass the benchmark's checks against that file, so
+a sweep or interpreter regression fails here too.
 """
 
 import json
@@ -50,3 +51,19 @@ def test_small_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
     assert rc == want["rc"]
     assert [e["payload"] for e in envelopes] == want["payloads"]
     assert {e["digest"] for e in envelopes} == {expected["digest"]}
+
+
+def test_small_interp_long_matches_expected(monkeypatch, tmp_path):
+    # Slow zeros and ones at k=3 (385 steps each), the 23 emulators, the
+    # ones_doubler round trip on 1^8 (3,345 steps) and every other round
+    # trip returning to its start, as the benchmark checks them.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    size = workloads.SIZES["smoke"]
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    assert (size.slow_k, size.doubler_n) == (3, 8)
+    rep = workloads.Rep()
+    workloads.rep_interp_long(rep, size, 7, tmp_path, {}, expected)
+    assert rep.failures == []
+    assert rep.attempted == 2 + 23 + 2 * len(workloads.roundtrip_inputs(7, size))

@@ -1,6 +1,8 @@
 """Budget-bounded complexity, depth, growth tables, and the ledger."""
 
+import json
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -244,6 +246,28 @@ def test_f_variant_comparison(lab):
     assert all(r.value is not None and r.value >= 0 for r in gen.rows)
 
 
+@pytest.mark.parametrize("variant", ["reversible", "general"])
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_f_table_finds_producers_once_per_string(monkeypatch, variant, aux):
+    # Every level of ld_b(x) reuses the producers, k(x) and nested
+    # complexities found once for x.  Nested ones use aux "", so with
+    # that aux a program that is itself a row string ("0001", printing
+    # "") is found once as each.
+    calls = Counter()
+    producers = DepthLab._producers
+
+    def counting(self, x, budget, aux):
+        calls[x, aux] += 1
+        return producers(self, x, budget, aux)
+
+    monkeypatch.setattr(DepthLab, "_producers", counting)
+    DepthLab().f_table(4, Budget(14, 100_000), aux, variant)
+    assert {x for x, a in calls if a == aux} >= set(all_bit_strings(4))
+    twice = {key for key, n in calls.items() if n > 1}
+    assert max(calls.values()) <= 2
+    assert twice == ({("0001", "")} if (variant, aux) == ("general", "") else set())
+
+
 def test_growth_rows_pinned_at_tight_budget(lab):
     # At D=170 the reversible run of every producer of "00" and "000"
     # exceeds the budget, so psi and f-rev turn inconclusive at the first
@@ -383,6 +407,22 @@ def test_ledger_roundtrip(tmp_path):
     warm = DepthLab(ledger=RunLedger(tmp_path))
     assert len(warm.ledger) == len(lab.ledger)
     assert warm.k_bounded("01", QUICK) == rec
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_ledger_lines_are_sorted_json(tmp_path, aux):
+    # Lines are formatted directly; they must be the bytes json.dumps
+    # with sorted keys writes, also for a string it has to escape.
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    table = lab.sweep(Budget(10, 100_000), aux)
+    lab.ledger.run("0001", "\u00e9\"", 10)
+    lab.ledger.save()
+    lines = lab.ledger.path.read_text().splitlines()
+    assert len(lines) == len(table) + 1
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+    assert "\\u00e9\\\"" in lines[-1]
+    assert RunLedger(tmp_path)._mem == lab.ledger._mem
 
 
 def test_ledger_hits_identical_to_recomputation(tmp_path):

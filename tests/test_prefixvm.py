@@ -6,6 +6,7 @@ import pytest
 
 from revlab.corpus import corpus_entry
 from revlab.machines import (
+    Alphabet,
     Configuration,
     Machine,
     MachineError,
@@ -13,6 +14,7 @@ from revlab.machines import (
     ShiftRule,
     _tables,
     output_of,
+    run_from,
     step,
     validate_machine,
 )
@@ -310,6 +312,158 @@ def test_spin_fast_path_matches_honest_stepping():
                     spun.add(m.name)
     assert cases == 89982
     assert spun == {"print", "diverger", "tail_into_cycle", "spinning_start"}
+
+
+def scan_states(m):
+    """States with an entry compiled as a scan loop."""
+    return {s for s, table in _tables(m).rw.items()
+            if any(scan for _, _, scan in table.values())}
+
+
+def one_tape(name, start, rules, symbols=("0", "1")):
+    states = {start} | {r.from_state for r in rules} | {r.to_state for r in rules}
+    return Machine(name, (Alphabet.of(*symbols, blank="_"),), frozenset(states),
+                   start, frozenset(), tuple(rules))
+
+
+def rw1(f, a, b, t):
+    return ReadWriteRule(f, (a,), (b,), t)
+
+
+def scan_machines():
+    """Hand-built machines around scan loops, each with a configuration
+    to run it from and a cap on the honest steps to compare."""
+    # A rewriting left scan that clamps at cell 0 and then spins there.
+    clamp = one_tape("clamp_left", "L", [
+        rw1("L", "0", "1", "T"), rw1("L", "1", "1", "T"), ShiftRule("T", (-1,), "L")])
+    # A right scan onto fresh blanks, writing each: only the budget ends it.
+    fresh = one_tape("right_onto_blanks", "R", [
+        rw1("R", "0", "0", "T"), rw1("R", "_", "1", "T"), ShiftRule("T", (1,), "R")])
+    # A flipping scan that halts on the first blank.
+    flip = one_tape("flip", "S", [
+        rw1("S", "0", "1", "T"), rw1("S", "1", "0", "T"), ShiftRule("T", (1,), "S")])
+    # Two loops of one state on one tape: a and c leave through the
+    # right shift, b through the left one; d halts.
+    two = one_tape("two_loops", "S", [
+        rw1("S", "a", "a", "Tr"), rw1("S", "b", "c", "Tl"), rw1("S", "c", "b", "Tr"),
+        ShiftRule("Tr", (1,), "S"), ShiftRule("Tl", (-1,), "S")],
+        symbols=("a", "b", "c", "d"))
+    # A scan of tape 2 under fixed tape-1 reads, ended by a write to
+    # tape 1.  The first rule shifts through T too, but it writes tape 1,
+    # so it is no scan.
+    ab = Alphabet.of("0", "1", blank="_")
+    two_tape = Machine("two_tape", (ab, ab), frozenset({"S", "T", "U"}), "S",
+                       frozenset(), (
+        ReadWriteRule("S", ("0", "1"), ("1", "1"), "T"),
+        ReadWriteRule("S", ("1", "1"), ("1", "0"), "T"),
+        ReadWriteRule("S", ("1", "0"), ("1", "0"), "T"),
+        ShiftRule("T", (0, 1), "S"),
+        ReadWriteRule("S", ("1", "_"), ("0", "_"), "U"),
+        ShiftRule("U", (0, -1), "S")))
+
+    def at(m, tapes, heads):
+        return Configuration.make(m.start_state, tuple(map(tuple, tapes)), heads,
+                                  0, m.blanks())
+
+    return [
+        (clamp, at(clamp, ["0101"], (3,)), 30),
+        (fresh, at(fresh, ["00"], (0,)), 31),
+        (flip, at(flip, ["0110100"], (0,)), 30),
+        (two, at(two, ["aabbcaad"], (0,)), 60),
+        (two_tape, at(two_tape, ["0", "1101"], (0, 0)), 60),
+    ]
+
+
+def honest_prefix_runs(m, bits, aux):
+    """honest_prefix_run at every budget from 0 to the run's step count,
+    from one trace: entry b is the result at budget b."""
+    rw_states = {r.from_state for r in m.rules if isinstance(r, ReadWriteRule)}
+    c = Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
+                           (0, 0, 0, 0), 0, m.blanks())
+    scanned = 0
+    runs = []
+    while True:
+        if c.state in rw_states:
+            if c.heads[0] >= len(bits):
+                outcome = TAPE_EXHAUSTED
+                break
+            scanned = c.heads[0] + 1
+        nxt = step(m, c)
+        if nxt is None:
+            outcome = HALTED
+            break
+        runs.append((BUDGET_EXCEEDED, bits[:scanned], output_of(m, c), c.steps))
+        c = nxt
+    runs.append((outcome, bits[:scanned], output_of(m, c), c.steps))
+    return runs
+
+
+def test_scan_loop_states():
+    for desc, m in builtin_machines().items():
+        want = {"dc", "dd", "dg", "dh"} if desc in ("01", "10") else set()
+        assert scan_states(m) == want, m.name
+    expected = {"flipper": {"s"}, "identity": {"s"}, "appender": {"s"},
+                "parity": {"e", "o", "we", "wo"},
+                "ones_doubler": {"B", "F", "L", "R"},
+                "runner": set(), "bounce": set(), "spinner": set()}
+    for name, want in expected.items():
+        assert scan_states(corpus_entry(name).machine) == want, name
+    # The cell map is keyed by the shift state too: one map per loop.
+    slow = slow_repeater_machine("1")
+    assert _tables(slow).rw["dh"][("0", "1", "Y", "_")][2] == \
+        (2, -1, {"Y": "O", "OM": "O"})
+    hand_built = {m.name: _tables(m).rw for m, _, _ in scan_machines()}
+    two = hand_built["two_loops"]["S"]
+    assert two[("a",)][2] is two[("c",)][2] == (0, 1, {"a": "a", "c": "b"})
+    assert two[("b",)][2] == (0, -1, {"b": "c"})
+    two_tape = hand_built["two_tape"]["S"]
+    assert two_tape[("0", "1")][2] is None
+    assert two_tape[("1", "1")][2] is two_tape[("1", "0")][2] == \
+        (1, 1, {"1": "0", "0": "0"})
+
+
+def test_scan_loop_matches_honest_stepping():
+    # Every budget from 0 to the honest step count, so each scan is cut
+    # after an odd and an even number of its steps.  Slow zeros and ones
+    # scan their work tape; the skipper scans the program tape, onto its
+    # end (a blank there is in its cell map, never read honestly).
+    skipper = four_tape("skipper", "S", [
+        *read_bit("S", "1", "_", "T"), *read_bit("S", "_", "_", "T"),
+        *read_bit("S", "0", "1", "E"),
+        ShiftRule("T", (1, 0, 0, 0), "S"), ShiftRule("E", (1, 0, 0, 1), "S")])
+    assert scan_states(skipper) == {"S"}
+    prefix_cases = [(m, "0" * k + "1") for m in (slow_repeater_machine("0"),
+                                                 slow_repeater_machine("1"))
+                    for k in range(4)]
+    prefix_cases += [(skipper, bits) for bits in ("", "1", "111", "11011", "0111")]
+    prefix_cases += [(slow_repeater_machine("0"), "000")]
+    outcomes = set()
+    for m, bits in prefix_cases:
+        for aux in ("", "1011"):
+            honest = honest_prefix_runs(m, bits, aux)
+            for budget in range(len(honest) + 2):
+                r = run_prefix(m, bits, aux, budget)
+                want = honest[min(budget, len(honest) - 1)]
+                assert (r.outcome, r.program, r.output, r.steps) == want, \
+                    (m.name, bits, aux, budget)
+            outcomes.add((m.name, honest[-1][0]))
+    assert (("skipper", TAPE_EXHAUSTED) in outcomes
+            and ("slow_zeros", TAPE_EXHAUSTED) in outcomes
+            and ("slow_ones", HALTED) in outcomes)
+    # Unbounded runs from every configuration of the trace, every budget.
+    for m, c0, n in scan_machines():
+        configs = [c0]
+        while len(configs) <= n and (nxt := step(m, configs[-1])) is not None:
+            configs.append(nxt)
+        halted = step(m, configs[-1]) is None
+        last = len(configs) - 1
+        for j, c in enumerate(configs):
+            for budget in range(last - j + 1):
+                end = j + budget
+                want = HALTED if halted and end == last else BUDGET_EXCEEDED
+                r = run_from(m, c, budget)
+                assert (r.outcome, r.final, r.steps) == \
+                    (want, configs[end], budget), (m.name, j, budget)
 
 
 def test_prefix_rejects_leftward_program_shift():

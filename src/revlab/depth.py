@@ -7,16 +7,21 @@ D steps never halts.  The machinery:
   * a persistent RunLedger caching interpreter runs keyed by
     (universal digest, bits, aux, D): an append-only JSONL file holding
     only the runs actually executed;
-  * one cache entry per (L, D, aux): the sweep, the tree of executed
-    runs grown from "" by running both children of every tape-exhausted
-    run, each for up to D steps, down to length L, stored with its
-    exactly-consumed halting runs grouped by output.  A child resumes
-    its parent's paused run with one more program bit, so no step of a
-    shared prefix is simulated twice; a child of a ledger hit has no
-    paused run and runs from scratch.  Paused runs live only until both
-    children have run and are never persisted.  Every query reads its
-    producers from that index; a string extending a halted or
-    budget-exceeded run is never a program and is not stored;
+  * one cache entry per (L, D, aux): the sweep, the tree of machine
+    runs rooted at the code <i> of every non-diverger machine i with
+    |<i>| <= min(L, D), grown by running both children of every
+    tape-exhausted run, each for up to D steps, down to length L, and
+    stored with its exactly-consumed halting runs grouped by output.
+    The index layer (prefixes of codes, malformed pairs, indices naming
+    the diverger) is fixed by the code alone, so it is derived, never
+    run, stored or persisted.  A root starts its machine right after
+    <i>, and a child resumes its parent's paused run with one more
+    program bit, so no step of a shared prefix is simulated twice; a
+    child of a ledger hit has no paused run and runs from scratch.
+    Paused runs live only until both children have run and are never
+    persisted.  Every query reads its producers from that index; a
+    string extending a halted or budget-exceeded run is never a program
+    and is not stored;
   * the literal-print program of x is always seeded as a candidate, even
     beyond L, which keeps k_upper below the print bound whenever the
     step budget allows the print run at all.
@@ -38,8 +43,8 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
 
@@ -48,6 +53,7 @@ from .prefixvm import (
     TAPE_EXHAUSTED,
     PausedRun,
     PrefixRunResult,
+    machine_starts,
     print_program,
     resume_run,
     reversible_view,
@@ -139,9 +145,12 @@ class RunLedger:
     Hits are bit-identical to recomputation: the key is the exact query
     (bits, aux, budget) and the stored value the full result.  Only runs
     this ledger executed (misses in ``run`` and ``extend``) are
-    persisted, and the sweep's table holds nothing but executed runs.
-    A resumed run is stored like any other; its paused run is not, so a
-    hit has none and the sweep runs its children from scratch.
+    persisted, and the sweep's table holds nothing but machine runs,
+    rooted at each non-diverger's code: the index layer is derived,
+    never run.  A resumed run is stored like any other; its paused run
+    is not, so a hit has none and the sweep runs its children from
+    scratch.  Lines of index-layer runs, which older sweeps stored,
+    still load; the sweep just never asks for them.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -286,31 +295,38 @@ class DepthLab:
     # -- sweeps ------------------------------------------------------------
 
     def sweep(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
-        """The tree of executed runs over bit strings of length <= L.
+        """The tree of machine runs over bit strings of length <= L.
 
-        A string extending a prefix whose run already halted or exceeded
-        the budget runs identically (the machine never looks at the
-        extension) and is never a program, so it is not stored.  The
-        table holds only executed runs: ``""`` and, layer by layer, the
-        two children of every tape-exhausted entry, each run through the
-        ledger for <= D steps.  A child missing from the ledger resumes
-        its parent's paused run when the parent was executed here, and
-        runs from scratch when the parent was a ledger hit; either way
-        the result is the from-scratch run's.  Each paused run is
-        dropped once both children have run.  The table is in canonical
-        (length, lexicographic) order, and cached with its exact halters
-        grouped by output, the index ``_producers`` reads.
+        It is rooted at the code <i> of every non-diverger machine i with
+        |<i>| <= min(L, D) (:func:`prefixvm.machine_starts`); the index
+        layer around those codes is derived, never run.  Below each root
+        the table holds, length by length, the two children of every
+        tape-exhausted entry, each run through the ledger for <= D steps.
+        A string extending a run that halted or exceeded the budget runs
+        identically (the machine never looks at the extension) and is
+        never a program, so it is not stored.  A root or child missing
+        from the ledger resumes its parent's paused run (a root's parent
+        is its machine about to start), and a child of a ledger hit runs
+        from scratch; either way the result is the from-scratch run's.
+        Each paused run is dropped once both children have run.  The
+        table is in canonical (length, lexicographic) order, and cached
+        with its exact halters grouped by output, the index
+        ``_producers`` reads.
         """
         if (budget, aux) not in self._sweeps:
+            roots = machine_starts(min(budget.max_len, budget.max_steps), aux)
             table = {}
-            queue = deque([("", None)])  # (bits, its parent's paused run)
-            while queue:
-                bits, parent = queue.popleft()
-                r, paused = self.ledger.extend(bits, aux, budget.max_steps, parent)
-                table[bits] = r
-                if r.outcome == TAPE_EXHAUSTED and len(bits) < budget.max_len:
-                    queue.append((bits + "0", paused))
-                    queue.append((bits + "1", paused))
+            layer: list = []  # (bits, its parent's paused run), one length
+            for n in range(budget.max_len + 1):
+                layer = sorted(layer + [root for root in roots if len(root[0]) == n],
+                               key=itemgetter(0))
+                grown = []
+                for bits, parent in layer:
+                    r, paused = self.ledger.extend(bits, aux, budget.max_steps, parent)
+                    table[bits] = r
+                    if r.outcome == TAPE_EXHAUSTED and n < budget.max_len:
+                        grown += ((bits + "0", paused), (bits + "1", paused))
+                layer = grown
             by_output: dict[str, dict[str, PrefixRunResult]] = {}
             for bits, r in table.items():
                 if _exact(bits, r):

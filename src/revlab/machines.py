@@ -332,6 +332,8 @@ class _ExecTable:
     # Why tape 1 cannot be a bounded input (a rule writes it or shifts it
     # left), or None.
     unbounded_input: Optional[str]
+    # Each tape's blank, padded onto a tape a head moves past.
+    blanks: tuple[str, ...]
 
 
 def _tables(m: Machine) -> _ExecTable:
@@ -388,7 +390,8 @@ def _compile(m: Machine) -> _ExecTable:
                     scan[2][reads[i]] = changes[0][1] if changes else reads[i]
             entry = (changes, to, scan)
             table[reads] = entry if scan else shared.setdefault(entry, entry)
-    return _ExecTable(rw, shift, frozenset(spins), live, unbounded_input)
+    return _ExecTable(rw, shift, frozenset(spins), live, unbounded_input,
+                      m.blanks())
 
 
 def _nondeterministic(m: Machine, state: str) -> MachineError:
@@ -511,7 +514,7 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
         raise MachineError(tables.unbounded_input)
     rw = tables.rw
     shift = tables.live if bounded else tables.shift
-    blanks = m.blanks()
+    blanks = tables.blanks
     limit = len(tapes[0])
     for t, h, b in zip(tapes, heads, blanks):
         if h >= len(t):
@@ -597,7 +600,7 @@ def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
     outcome, state, taken, _ = execute(m, c.state, tapes, heads, budget)
     final = Configuration.make(
         state, tuple(tuple(t) for t in tapes), tuple(heads), c.steps + taken,
-        m.blanks())
+        _tables(m).blanks)
     return RunResult(outcome, final, taken, output_of(m, final))
 
 

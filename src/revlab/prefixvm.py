@@ -30,7 +30,8 @@ stream.  One interpreter step is one bit consumed while decoding <i>
 plus one step per simulated step of machine i; divergence consumes the
 whole budget.  A run of machine i that exhausts its bits can be paused
 and resumed on longer bits, with the result of running those from
-scratch (``start_run``, ``resume_run``).  The reversible counterpart
+scratch (``start_run``, ``resume_run``); ``machine_starts`` lists the
+runs that begin right after each code <i> of a non-diverger.  The reversible counterpart
 reports the step count the Bennett transform of the interpreter would
 take, using the transform's own construction constants, and pairs the
 program with the output.
@@ -520,6 +521,31 @@ def _fresh(m: Machine, aux: str, index_len: int) -> PausedRun:
     """Machine ``m`` about to start after an index of ``index_len`` bits."""
     return PausedRun(m, index_len, m.start_state, (list(aux), [], []),
                      (0, 0, 0, 0), index_len, index_len)
+
+
+def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
+    """(<i>, machine i about to start on ``aux``) for every i whose code
+    has at most ``max_len`` bits and whose machine is not the diverger,
+    in (length, lexicographic) order of the codes.
+
+    Every other string of the index layer is fixed by the code alone: a
+    prefix of some <i> is tape-exhausted, and a malformed pair or an
+    index naming the diverger spins out.  Resuming a start on a string
+    beginning with its code gives :func:`universal_run`'s result for it
+    at any budget of at least ``len(<i>)`` steps.
+    """
+    return [(code, _fresh(m, aux, len(code))) for code, m in _described(max_len)]
+
+
+@lru_cache(maxsize=None)
+def _described(max_len: int) -> tuple[tuple[str, Machine], ...]:
+    out = []
+    for desc in all_bit_strings((max_len - 2) // 2) if max_len >= 2 else ():
+        i = index_of_string(desc)
+        m = enumerate_machine(i)
+        if not is_diverger(m):
+            out.append((encode_index(i), m))
+    return tuple(out)
 
 
 def resume_run(paused: PausedRun, bits: str,

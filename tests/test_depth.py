@@ -18,7 +18,12 @@ from revlab.depth import (
 from revlab.prefixvm import (
     HALTED,
     TAPE_EXHAUSTED,
+    MalformedIndex,
     all_bit_strings,
+    decode_index,
+    enumerate_machine,
+    is_diverger,
+    prefix_free_check,
     print_program,
     resume_run,
     start_run,
@@ -325,26 +330,6 @@ def test_budget_monotonicity_in_length(lab):
 
 # --- the sweep ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("budget", [Budget(8, 800), Budget(8, 17)])
-@pytest.mark.parametrize("aux", ["", "1011"])
-def test_sweep_is_the_tree_of_executed_runs(budget, aux):
-    lab = DepthLab()
-    table = lab.sweep(budget, aux)
-    frontier = [w for w, r in table.items()
-                if r.outcome == TAPE_EXHAUSTED and len(w) < budget.max_len]
-    assert set(table) == {""} | {w + b for w in frontier for b in "01"}
-    assert list(table) == sorted(table, key=lambda w: (len(w), w))
-    for bits, r in table.items():
-        assert r == universal_run(bits, aux, budget.max_steps)
-
-    direct = {}
-    for bits in all_bit_strings(budget.max_len):
-        r = universal_run(bits, aux, budget.max_steps)
-        if r.outcome == HALTED and r.program == bits:
-            direct[bits] = r
-    assert lab.exact_halters(budget, aux) == direct
-
-
 def _tree_from_scratch(budget, aux):
     table, layer = {}, [""]
     while layer:
@@ -355,6 +340,37 @@ def _tree_from_scratch(budget, aux):
                 grown += [bits + "0", bits + "1"]
         layer = grown
     return table
+
+
+def _machine_runs(budget, aux):
+    """The from-scratch tree over all strings, kept to the strings whose
+    <i> decodes within D to a machine other than the diverger."""
+    kept = {}
+    for bits, r in _tree_from_scratch(budget, aux).items():
+        try:
+            decoded = decode_index(bits[:budget.max_steps])
+        except MalformedIndex:
+            continue
+        if decoded is not None and not is_diverger(enumerate_machine(decoded[0])):
+            kept[bits] = r
+    return kept
+
+
+@pytest.mark.parametrize("budget", [Budget(8, 800), Budget(8, 17)])
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_sweep_is_the_tree_of_executed_runs(budget, aux):
+    lab = DepthLab()
+    table = lab.sweep(budget, aux)
+    assert list(table.items()) == list(_machine_runs(budget, aux).items())
+    for bits, r in table.items():
+        assert r == universal_run(bits, aux, budget.max_steps)
+
+    direct = {}
+    for bits in all_bit_strings(budget.max_len):
+        r = universal_run(bits, aux, budget.max_steps)
+        if r.outcome == HALTED and r.program == bits:
+            direct[bits] = r
+    assert lab.exact_halters(budget, aux) == direct
 
 
 # Every D up to 40, then pairs (D, D + 1) every six, so that a parent's
@@ -368,8 +384,33 @@ def test_resumed_sweep_equals_runs_from_scratch(aux):
     lab = DepthLab()
     for d in RESUME_BUDGETS:
         budget = Budget(11, d)
-        want = _tree_from_scratch(budget, aux)
+        want = _machine_runs(budget, aux)
         assert list(lab.sweep(budget, aux).items()) == list(want.items()), d
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_sweep_finds_every_program_of_every_string(aux):
+    # The sweep never runs the index layer; running every string up to
+    # L=12 must find the same programs per output, with D below, at and
+    # above the 4 steps of the halt program "0001".
+    max_len = 12
+    for d in (0, 3, 4, 5, 17, 800, 100_000):
+        every: dict = {}
+
+        def runner(bits, aux, budget):
+            r = universal_run(bits, aux, budget)
+            if r.outcome == HALTED and r.program == bits:
+                every.setdefault(r.output, {})[bits] = r
+            return r
+
+        report = prefix_free_check(max_len, d, aux, runner=runner)
+        assert report.runs == 2 ** (max_len + 1) - 1
+        assert report.prefix_free
+        sweep: dict = {}
+        for bits, r in DepthLab().exact_halters(Budget(max_len, d), aux).items():
+            sweep.setdefault(r.output, {})[bits] = r
+        assert sweep == every, d
+        assert bool(every) == (d >= 4), d
 
 
 def test_children_of_ledger_hits_run_from_scratch(tmp_path):
@@ -476,6 +517,30 @@ def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
 
     DepthLab().sweep(Budget(12, 3000))
     assert "resume_run" in calls
+
+
+def test_ledger_with_index_layer_runs_still_serves_the_sweep(tmp_path, monkeypatch):
+    # Ledgers written before the sweep was rooted at machine codes hold
+    # every run of the tree grown from "", index layer included.
+    budget = Budget(12, 3000)
+    old = RunLedger(tmp_path)
+    for bits in _tree_from_scratch(budget, ""):
+        old.run(bits, "", budget.max_steps)
+    old.save()
+    (path,) = tmp_path.iterdir()
+    size = path.stat().st_size
+    cold = DepthLab().sweep(budget)
+
+    def no_run(*args):
+        raise AssertionError(f"unexpected run {args}")
+
+    monkeypatch.setattr("revlab.depth.start_run", no_run)
+    monkeypatch.setattr("revlab.depth.resume_run", no_run)
+    warm = DepthLab(ledger=RunLedger(tmp_path))
+    assert len(warm.ledger) > len(cold)
+    assert list(warm.sweep(budget).items()) == list(cold.items())
+    warm.ledger.save()
+    assert path.stat().st_size == size
 
 
 # --- upper-bound sanity ------------------------------------------------------------

@@ -154,29 +154,34 @@ def _structural_errors(m: Machine) -> list[str]:
     if not 0 <= m.output_tape <= m.tape_count:
         errors.append(f"output tape {m.output_tape} out of range")
     for i, rule in enumerate(m.rules):
-        where = f"rule {i} ({rule.describe()})"
-        for s in (rule.from_state, rule.to_state):
-            if s not in m.states:
-                errors.append(f"{where}: unknown state {s!r}")
-        if rule.from_state in m.halt_states:
-            errors.append(f"{where}: source state is a halt state")
-        if isinstance(rule, ReadWriteRule):
-            if len(rule.reads) != m.tape_count or len(rule.writes) != m.tape_count:
-                errors.append(f"{where}: tuple arity != tape count")
-                continue
-            for t, (r, w) in enumerate(zip(rule.reads, rule.writes)):
-                if r not in m.alphabets[t].symbols:
-                    errors.append(f"{where}: symbol {r!r} not in tape {t + 1} alphabet")
-                if w not in m.alphabets[t].symbols:
-                    errors.append(f"{where}: symbol {w!r} not in tape {t + 1} alphabet")
-        else:
-            if len(rule.moves) != m.tape_count:
-                errors.append(f"{where}: shift arity != tape count")
-                continue
-            for d in rule.moves:
-                if d not in (-1, 0, 1):
-                    errors.append(f"{where}: shift {d} not in -1/0/+1")
+        for error in _rule_errors(m, rule):
+            errors.append(f"rule {i} ({rule.describe()}): {error}")
     return errors
+
+
+def _rule_errors(m: Machine, rule: Rule) -> Iterator[str]:
+    """What is wrong with one rule of ``m``, without naming the rule."""
+    for s in (rule.from_state, rule.to_state):
+        if s not in m.states:
+            yield f"unknown state {s!r}"
+    if rule.from_state in m.halt_states:
+        yield "source state is a halt state"
+    if isinstance(rule, ReadWriteRule):
+        if len(rule.reads) != m.tape_count or len(rule.writes) != m.tape_count:
+            yield "tuple arity != tape count"
+            return
+        for t, (r, w) in enumerate(zip(rule.reads, rule.writes)):
+            if r not in m.alphabets[t].symbols:
+                yield f"symbol {r!r} not in tape {t + 1} alphabet"
+            if w not in m.alphabets[t].symbols:
+                yield f"symbol {w!r} not in tape {t + 1} alphabet"
+    else:
+        if len(rule.moves) != m.tape_count:
+            yield "shift arity != tape count"
+            return
+        for d in rule.moves:
+            if d not in (-1, 0, 1):
+                yield f"shift {d} not in -1/0/+1"
 
 
 def _reachable_states(m: Machine) -> set[str]:
@@ -318,9 +323,14 @@ class _ExecTable:
     same reads on the other tapes (one shared dict), so :func:`execute`
     can step cell after cell without returning to its dispatch.  The
     field is None on every other entry.
+
+    A ReadWrite entry's fourth field fuses it with the shift it always
+    leads to: on an entry that is no scan loop and whose successor is a
+    shift state outside the spins, it is that state's entry in ``live``,
+    (moves, to_state); it is None on every other entry.
     """
 
-    # state -> {read_tuple: (changes, to_state, scan or None)}
+    # state -> {read_tuple: (changes, to_state, scan or None, then or None)}
     rw: dict[str, dict[tuple[str, ...], tuple]]
     # state -> (moves, to_state)
     shift: dict[str, tuple]
@@ -388,7 +398,7 @@ def _compile(m: Machine) -> _ExecTable:
                     scan = scans.setdefault((to, reads[:i] + reads[i + 1:]),
                                             (i, d, {}))
                     scan[2][reads[i]] = changes[0][1] if changes else reads[i]
-            entry = (changes, to, scan)
+            entry = (changes, to, scan, None if scan else live.get(to))
             table[reads] = entry if scan else shared.setdefault(entry, entry)
     return _ExecTable(rw, shift, frozenset(spins), live, unbounded_input,
                       m.blanks())
@@ -506,6 +516,13 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     half the remaining budget and, on a bounded tape 1, up to the end
     of the prefix.  It stops in the ReadWrite state, where the loop
     above goes on, so the result stays that of iterated :func:`step`.
+
+    Any other ReadWrite entry whose fourth field is set writes, counts
+    its step and, if budget is left, applies its successor's shift in the
+    same pass and counts that step too; with no budget left it stops in
+    the shift state, as honest stepping does.  The loop keeps ``under``,
+    the symbols under the heads, from entry on: every write, move and
+    scan-loop exit updates it, so a rule lookup reads no tape.
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
@@ -519,7 +536,7 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     for t, h, b in zip(tapes, heads, blanks):
         if h >= len(t):
             t.extend([b] * (h + 1 - len(t)))
-    read = list.__getitem__
+    under = list(map(list.__getitem__, tapes, heads))
     scanned = 0
     taken = 0
     while True:
@@ -531,14 +548,14 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
                     outcome = TAPE_EXHAUSTED
                     break
                 scanned = h + 1
-            hit = table.get(tuple(map(read, tapes, heads)))
+            hit = table.get(tuple(under))
             if hit is None:
                 outcome = HALTED
                 break
             if taken >= budget:
                 outcome = BUDGET_EXCEEDED
                 break
-            changes, to, scan = hit
+            changes, to, scan, then = hit
             if scan is not None and budget - taken > 1:
                 # A scan loop: two steps a cell, ending back in ``state``.
                 i, d, cells = scan
@@ -559,13 +576,18 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
                         tape.append(blanks[i])
                     left -= 1
                 heads[i] = h
+                under[i] = tape[h]
                 if bounded and not i:  # one past the last program cell read
                     scanned = h
                 taken += 2 * (n - left)
                 continue
             for i, w in changes:
-                tapes[i][heads[i]] = w
-            state = to
+                tapes[i][heads[i]] = under[i] = w
+            taken += 1
+            if then is None or taken >= budget:
+                state = to
+                continue
+            moves, state = then  # the shift ``to`` always leads to
         else:
             hit = shift.get(state)
             if hit is None:
@@ -578,13 +600,15 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
                 outcome = BUDGET_EXCEEDED
                 break
             moves, state = hit
-            for i, d in moves:
-                h = heads[i] + d
-                if h < 0:
-                    h = 0
-                elif h == len(tapes[i]):
-                    tapes[i].append(blanks[i])
-                heads[i] = h
+        for i, d in moves:
+            tape = tapes[i]
+            h = heads[i] + d
+            if h < 0:
+                h = 0
+            elif h == len(tape):
+                tape.append(blanks[i])
+            heads[i] = h
+            under[i] = tape[h]
         taken += 1
     return outcome, state, taken, scanned
 

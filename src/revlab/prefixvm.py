@@ -539,8 +539,13 @@ def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
 
 @lru_cache(maxsize=None)
 def _described(max_len: int) -> tuple[tuple[str, Machine], ...]:
+    # Only a builtin or a general-grammar description can name a machine
+    # other than the diverger (see enumerate_machine): skip the rest
+    # undecoded.
     out = []
     for desc in all_bit_strings((max_len - 2) // 2) if max_len >= 2 else ():
+        if desc not in builtin_machines() and not desc.startswith(_GENERAL_PREFIX):
+            continue
         i = index_of_string(desc)
         m = enumerate_machine(i)
         if not is_diverger(m):

@@ -102,10 +102,13 @@ class ReversibilityReport:
         return not self.conflicts
 
 
+@lru_cache(maxsize=256)
 def verify_reversible(m: Machine) -> ReversibilityReport:
     """Range-overlap scan over all rule pairs (grouped by target state,
     equivalent to the naive quadratic check); the conflict list is empty
-    iff the machine is backward deterministic."""
+    iff the machine is backward deterministic.  Cached per machine, so
+    that :func:`invert` of a transform's output does not check it again;
+    an invalid machine raises on every call."""
     report = validate_machine(m)
     if not report.ok:
         raise MachineError(
@@ -125,8 +128,9 @@ def invert_rule(rule: Rule) -> Rule:
 
 @lru_cache(maxsize=256)
 def invert(m: Machine) -> Machine:
-    """Rule-by-rule inverse of a reversible machine (cached per machine;
-    a machine that is not reversible raises on every call)."""
+    """Rule-by-rule inverse of a reversible machine (cached per machine,
+    like the :func:`verify_reversible` report it rests on; a machine that
+    is not reversible raises on every call)."""
     report = verify_reversible(m)
     if not report.reversible:
         raise ReversibilityError(

@@ -1,5 +1,7 @@
 """Machine model, validation, and execution semantics."""
 
+from dataclasses import replace
+
 import pytest
 
 from revlab.machines import (
@@ -25,7 +27,7 @@ from revlab.machines import (
     validate_machine,
 )
 from revlab.corpus import BLANK, BINARY, corpus, corpus_entry, inputs_up_to
-from revlab.reversal import bennett_transform
+from revlab.reversal import bennett_transform, invert
 
 from oracles import run_quintuple
 
@@ -223,17 +225,33 @@ def assert_run_from_matches_stepping(m, configs, ks):
                 (m.name, c, k)
 
 
+def trace_from(m, c, budget):
+    """``c`` and every successor up to the budget."""
+    configs = [c]
+    while len(configs) <= budget and (nxt := step(m, configs[-1])) is not None:
+        configs.append(nxt)
+    return configs
+
+
 def test_run_from_matches_step_from_every_configuration():
     # Runs start mid-run too: heads far past the stripped tape end,
     # interior blanks, and history tapes half written or half erased.
+    # The inverse emulator runs back from the forward run's halt.  Budget
+    # 2 cuts a write fused with its shift both before and after the shift.
     for entry in corpus():
         m = entry.machine
         if isinstance(m, QuintupleMachine):
             m = normalize_to_quadruples(m)
-        for mm in (m, bennett_transform(m).machine):
-            for w in inputs_up_to(entry.input_alphabet, 2):
-                configs = list(trace_run(mm, w, 400))
-                assert_run_from_matches_stepping(mm, configs, (0, 1, 5))
+        em = bennett_transform(m).machine
+        inv = invert(em)
+        ks = (0, 1, 2, 5)
+        for w in inputs_up_to(entry.input_alphabet, 2):
+            assert_run_from_matches_stepping(m, list(trace_run(m, w, 400)), ks)
+            configs = list(trace_run(em, w, 400))
+            assert_run_from_matches_stepping(em, configs, ks)
+            if step(em, configs[-1]) is None:
+                back = trace_from(inv, replace(configs[-1], steps=0), 400)
+                assert_run_from_matches_stepping(inv, back, ks)
 
 
 def test_padded_tape_edges():

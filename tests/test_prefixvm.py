@@ -4,15 +4,17 @@ import hashlib
 
 import pytest
 
-from revlab.corpus import corpus_entry
+from revlab.corpus import corpus, corpus_entry
 from revlab.machines import (
     Alphabet,
     Configuration,
     Machine,
     MachineError,
+    QuintupleMachine,
     ReadWriteRule,
     ShiftRule,
     _tables,
+    normalize_to_quadruples,
     output_of,
     run_from,
     step,
@@ -24,6 +26,7 @@ from revlab.prefixvm import (
     SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
+    _described,
     _prefix_machine,
     aux_copy_machine,
     all_bit_strings,
@@ -50,7 +53,7 @@ from revlab.prefixvm import (
     universal_reversible_run,
     universal_run,
 )
-from revlab.reversal import linear_bound
+from revlab.reversal import bennett_transform, linear_bound
 
 
 # --- codec --------------------------------------------------------------------
@@ -317,7 +320,7 @@ def test_spin_fast_path_matches_honest_stepping():
 def scan_states(m):
     """States with an entry compiled as a scan loop."""
     return {s for s, table in _tables(m).rw.items()
-            if any(scan for _, _, scan in table.values())}
+            if any(entry[2] for entry in table.values())}
 
 
 def one_tape(name, start, rules, symbols=("0", "1")):
@@ -422,6 +425,29 @@ def test_scan_loop_states():
         (1, 1, {"1": "0", "0": "0"})
 
 
+def test_fused_shift_entries():
+    # An entry carries its target's shift entry exactly when the target
+    # is a live shift state and the entry is no scan loop.
+    machines = [*builtin_machines().values(), diverger_machine()]
+    for entry in corpus():
+        m = entry.machine
+        if isinstance(m, QuintupleMachine):
+            m = normalize_to_quadruples(m)
+        machines += [m, bennett_transform(m).machine]
+    kinds = set()
+    for m in machines:
+        tables = _tables(m)
+        for table in tables.rw.values():
+            for _, to, scan, then in table.values():
+                fused = scan is None and to in tables.live
+                assert then is (tables.live[to] if fused else None), (m.name, to)
+                kinds.add((fused, scan is not None, to in tables.spins))
+    # Fused, scan and plain entries all occur, and some plain ones enter
+    # a spin.
+    assert kinds == {(True, False, False), (False, True, False),
+                     (False, False, False), (False, False, True)}
+
+
 def test_scan_loop_matches_honest_stepping():
     # Every budget from 0 to the honest step count, so each scan is cut
     # after an odd and an even number of its steps.  Slow zeros and ones
@@ -523,6 +549,14 @@ def test_serialize_enumerate_roundtrip_behaviour():
         for bits, aux, budget in cases:
             assert run_prefix(again, bits, aux, budget) == \
                 run_prefix(m, bits, aux, budget), (desc, bits)
+
+
+def test_described_matches_decoding_every_description():
+    for max_len in range(21):
+        descs = all_bit_strings((max_len - 2) // 2) if max_len >= 2 else ()
+        want = [(encode_index(i), m) for i in map(index_of_string, descs)
+                if not is_diverger(m := enumerate_machine(i))]
+        assert _described(max_len) == tuple(want), max_len
 
 
 def test_distinct_descriptions_distinct_rule_sets():

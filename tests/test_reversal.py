@@ -1,11 +1,14 @@
 """Reverse checking, inversion, and the Bennett transform."""
 
+from dataclasses import replace
+
 import pytest
 
 from revlab.corpus import BINARY, corpus, corpus_entry, inputs_up_to
 from revlab.machines import (
     HALTED,
     Machine,
+    MachineError,
     QuintupleMachine,
     ReadWriteRule,
     ShiftRule,
@@ -100,6 +103,33 @@ def test_invert_single_rule_definition():
 def test_invert_is_involution_on_rule_sets():
     m = quad([rw("q0", "0", "1", "q1"), sh("q1", 1, "q0")])
     assert invert(invert(m)).rules == m.rules
+
+
+def test_emulator_is_verified_once(monkeypatch):
+    # bennett_transform verifies its emulator; reversing a run of it
+    # must not validate or range-scan the emulator again.
+    import revlab.reversal as reversal
+    invert.cache_clear()
+    verify_reversible.cache_clear()
+    bm = bennett_transform(corpus_entry("parity").machine)
+    calls = []
+    for name in ("validate_machine", "range_conflicts"):
+        real = getattr(reversal, name)
+        monkeypatch.setattr(reversal, name,
+                            lambda x, real=real: calls.append(x) or real(x))
+    full = run(bm.machine, "101", 100_000)
+    back = run_reverse(bm, full.final, full.steps)
+    assert back.steps == full.steps
+    assert replace(back.final, steps=0) == initial_configuration(bm.machine, "101")
+    assert calls == []
+    # Failures are not cached: each call raises again.
+    nonrev = corpus_entry("nonrev_fixture").machine
+    invalid = quad([rw("q0", "7", "1", "q1")])
+    for _ in range(2):
+        with pytest.raises(ReversibilityError):
+            invert(nonrev)
+        with pytest.raises(MachineError):
+            verify_reversible(invalid)
 
 
 def test_invert_refuses_nonreversible_and_cites_conflicts():

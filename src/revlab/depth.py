@@ -17,11 +17,11 @@ D steps never halts.  The machinery:
     run, stored or persisted.  A root starts its machine right after
     <i>, and a child resumes its parent's paused run with one more
     program bit, so no step of a shared prefix is simulated twice; a
-    child of a ledger hit has no paused run and runs from scratch.
-    Paused runs live only until both children have run and are never
-    persisted.  Every query reads its producers from that index; a
-    string extending a halted or budget-exceeded run is never a program
-    and is not stored;
+    child of a ledger hit resumes the run its parent resumed, which
+    paused on a shorter prefix.  Paused runs live only until both
+    children have run and are never persisted.  Every query reads its
+    producers from that index; a string extending a halted or
+    budget-exceeded run is never a program and is not stored;
   * the literal-print program of x is always seeded as a candidate, even
     beyond L, which keeps k_upper below the print bound whenever the
     step budget allows the print run at all.
@@ -57,7 +57,6 @@ from .prefixvm import (
     print_program,
     resume_run,
     reversible_view,
-    start_run,
     universal_machine,
     universal_run,
 )
@@ -148,8 +147,8 @@ class RunLedger:
     persisted, and the sweep's table holds nothing but machine runs,
     rooted at each non-diverger's code: the index layer is derived,
     never run.  A resumed run is stored like any other; its paused run
-    is not, so a hit has none and the sweep runs its children from
-    scratch.  Lines of index-layer runs, which older sweeps stored,
+    is not, so the children of a hit resume the paused run the hit was
+    asked with.  Lines of index-layer runs, which older sweeps stored,
     still load; the sweep just never asks for them.
     """
 
@@ -203,18 +202,18 @@ class RunLedger:
             self._fresh.append(key)
         return hit
 
-    def extend(self, bits: str, aux: str, budget: int, parent: PausedRun | None
+    def extend(self, bits: str, aux: str, budget: int, parent: PausedRun
                ) -> tuple[PrefixRunResult, PausedRun | None]:
-        """``run`` for the sweep, with the run's paused run when it
-        exhausted ``bits``.  A miss resumes ``parent``, the paused run of
-        ``bits[:-1]``, when there is one, and runs from scratch otherwise;
-        a hit has no paused run.  Paused runs are never stored."""
+        """``run`` for the sweep: ``parent`` is a run paused on a prefix
+        of ``bits``, with at most ``budget`` steps taken.  A miss resumes
+        it, and comes back with its own paused run when it exhausted
+        ``bits``.  A hit comes back with ``parent`` itself, which its
+        children can resume as well.  Paused runs are never stored."""
         key = (bits, aux, budget)
         hit = self._mem.get(key)
         if hit is not None:
-            return hit, None
-        result, paused = (start_run(bits, aux, budget) if parent is None
-                          else resume_run(parent, bits, budget))
+            return hit, parent
+        result, paused = resume_run(parent, bits, budget)
         self._mem[key] = result
         self._fresh.append(key)
         return result, paused
@@ -306,11 +305,11 @@ class DepthLab:
         identically (the machine never looks at the extension) and is
         never a program, so it is not stored.  A root or child missing
         from the ledger resumes its parent's paused run (a root's parent
-        is its machine about to start), and a child of a ledger hit runs
-        from scratch; either way the result is the from-scratch run's.
-        Each paused run is dropped once both children have run.  The
-        table is in canonical (length, lexicographic) order, and cached
-        with its exact halters grouped by output, the index
+        is its machine about to start; a ledger hit passes on the run it
+        was given), so the result is the from-scratch run's and nothing
+        is decoded.  Each paused run is dropped once both children have
+        run.  The table is in canonical (length, lexicographic) order,
+        and cached with its exact halters grouped by output, the index
         ``_producers`` reads.
         """
         if (budget, aux) not in self._sweeps:

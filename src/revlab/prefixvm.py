@@ -28,13 +28,14 @@ of the description string doubled, terminated by "01"; the pair "10" is
 malformed and diverges), then simulates machine i on the remaining bit
 stream.  One interpreter step is one bit consumed while decoding <i>
 plus one step per simulated step of machine i; divergence consumes the
-whole budget.  A run of machine i that exhausts its bits can be paused
-and resumed on longer bits, with the result of running those from
-scratch (``start_run``, ``resume_run``); ``machine_starts`` lists the
-runs that begin right after each code <i> of a non-diverger.  The reversible counterpart
-reports the step count the Bennett transform of the interpreter would
-take, using the transform's own construction constants, and pairs the
-program with the output.
+whole budget.  Machine i runs as a paused run resumed on the bits
+(``resume_run``): a run that exhausts them pauses again, and resuming
+it on longer bits gives the result of running those from scratch.
+``machine_starts`` lists the runs about to begin right after each code
+<i> of a non-diverger.  The reversible counterpart reports the step
+count the Bennett transform of the interpreter would take, using the
+transform's own construction constants, and pairs the program with the
+output.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class PrefixRunResult:
     output: str
     steps: int
     pair: tuple[str, str] | None = None
-
-    @property
-    def halted(self) -> bool:
-        return self.outcome == HALTED
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +495,16 @@ def run_prefix(m: Machine, bits: str, aux: str, budget: int) -> PrefixRunResult:
 class PausedRun(NamedTuple):
     """A prefix run stopped TapeExhausted, to be continued on more bits.
 
-    It holds what the run has computed: machine ``machine`` behind a
-    decoded index of ``index_len`` bits, its state, tapes 2-4 and heads
-    (the tape-1 head counts from the end of the index), the steps taken
-    and the program bits scanned, index included.  Tape 1 is not kept,
-    since :func:`machines.execute` padded it with a blank where the bits
-    ran out: it is rebuilt from the longer bits, which must extend the
-    bits the run was paused on.  :func:`resume_run` copies the tapes, so
-    one paused run continues any number of extensions.
+    It holds what the run has computed: machine ``machine``, its state,
+    tapes 2-4 and heads, the steps taken and the program bits scanned,
+    index included.  Tape 1 is not kept, since :func:`machines.execute`
+    padded it with a blank where the bits ran out: it is rebuilt from
+    the longer bits, which must extend the bits the run was paused on.
+    :func:`resume_run` copies the tapes, so one paused run continues any
+    number of extensions.
     """
 
     machine: Machine
-    index_len: int
     state: str
     tapes: tuple[list[str], ...]
     heads: tuple[int, ...]
@@ -518,9 +513,10 @@ class PausedRun(NamedTuple):
 
 
 def _fresh(m: Machine, aux: str, index_len: int) -> PausedRun:
-    """Machine ``m`` about to start after an index of ``index_len`` bits."""
-    return PausedRun(m, index_len, m.start_state, (list(aux), [], []),
-                     (0, 0, 0, 0), index_len, index_len)
+    """Machine ``m`` about to start after an index of ``index_len`` bits,
+    its tape-1 head on the first bit past the index."""
+    return PausedRun(m, m.start_state, (list(aux), [], []),
+                     (index_len, 0, 0, 0), index_len, index_len)
 
 
 def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
@@ -563,18 +559,18 @@ def resume_run(paused: PausedRun, bits: str,
     A run that exhausts ``bits`` comes back with its own paused run;
     any other outcome with None.
     """
-    m, pos = paused.machine, paused.index_len
-    tapes = [list(bits[pos:]), *map(list, paused.tapes)]
+    m = paused.machine
+    tapes = [list(bits), *map(list, paused.tapes)]
     heads = list(paused.heads)
     outcome, state, taken, scanned = execute(
         m, paused.state, tapes, heads, budget - paused.steps, bounded=True)
     steps = paused.steps + taken
-    scanned = pos + scanned if scanned else paused.scanned
+    scanned = scanned or paused.scanned
     output = blank_free_prefix(tapes[3], m.alphabets[3].blank)
     result = PrefixRunResult(outcome, bits[:scanned], output, steps)
     if outcome != TAPE_EXHAUSTED:
         return result, None
-    return result, PausedRun(m, pos, state, tuple(tapes[1:]), tuple(heads),
+    return result, PausedRun(m, state, tuple(tapes[1:]), tuple(heads),
                              steps, scanned)
 
 
@@ -584,8 +580,6 @@ def resume_run(paused: PausedRun, bits: str,
 
 @dataclass(frozen=True)
 class UniversalMachine:
-    index_scheme: str
-    serialization_scheme: str
     digest: str
 
 
@@ -600,14 +594,7 @@ def universal_machine() -> UniversalMachine:
     payload.append(f"accounting decode-per-bit sim-per-step "
                    f"rev {LINEAR_A} {LINEAR_B} {LINEAR_C}")
     digest = hashlib.sha256("\n".join(payload).encode()).hexdigest()
-    return UniversalMachine("doubled-bits-01", "rev-grammar-v1", digest)
-
-
-def _spin_out(program: str, budget: int) -> PrefixRunResult:
-    # A malformed index diverges, burning the remaining budget.  Machine
-    # runs that diverge in a shift-only cycle (the diverger's included)
-    # end the same way inside machines.execute.
-    return PrefixRunResult(BUDGET_EXCEEDED, program, "", budget)
+    return UniversalMachine(digest)
 
 
 def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
@@ -617,14 +604,6 @@ def universal_run(bits: str, aux: str = "", budget: int = 0) -> PrefixRunResult:
     simulated step.  Malformed indices and malformed descriptions
     diverge (never a parse error) so halting programs stay prefix-free.
     """
-    return start_run(bits, aux, budget)[0]
-
-
-def start_run(bits: str, aux: str,
-              budget: int) -> tuple[PrefixRunResult, PausedRun | None]:
-    """:func:`universal_run` from scratch, with the paused run when
-    machine i exhausted ``bits`` (see :func:`resume_run`).  A run
-    exhausted while decoding <i> has none: its extensions decode anew."""
     if budget < 0:
         raise MachineError("budget must be >= 0")
     # One step per bit read; the decoder sees only the bits the budget
@@ -633,13 +612,16 @@ def start_run(bits: str, aux: str,
     readable = bits[:budget]
     try:
         decoded = decode_index(readable)
-    except MalformedIndex as exc:  # the pair "10": diverge
-        return _spin_out(bits[:exc.consumed], budget), None
+    except MalformedIndex as exc:
+        # The pair "10" diverges, burning the remaining budget.  Machine
+        # runs that diverge in a shift-only cycle (the diverger's
+        # included) end the same way inside machines.execute.
+        return PrefixRunResult(BUDGET_EXCEEDED, bits[:exc.consumed], "", budget)
     if decoded is None:
         outcome = TAPE_EXHAUSTED if len(readable) == len(bits) else BUDGET_EXCEEDED
-        return PrefixRunResult(outcome, readable, "", len(readable)), None
+        return PrefixRunResult(outcome, readable, "", len(readable))
     i, pos = decoded
-    return resume_run(_fresh(enumerate_machine(i), aux, pos), bits, budget)
+    return resume_run(_fresh(enumerate_machine(i), aux, pos), bits, budget)[0]
 
 
 def reversible_view(u: PrefixRunResult, budget: int) -> PrefixRunResult:

@@ -59,6 +59,19 @@ def test_machine_run_and_trace(capsys, corpus_dir):
     assert len(lines) == 5  # initial configuration plus four steps
 
 
+def test_machine_run_rejects_nondeterministic_machine(capsys, tmp_path):
+    path = tmp_path / "nondet.tm"
+    path.write_text("machine nondet\ntapes 1\n"
+                    "alphabet 1 blank _ symbols _ 0 1\n"
+                    "states q0 q1\nstart q0\nhalt q1\n"
+                    "rule q0 0 -> 1 q1\nrule q0 / -> +1 q1\n")
+    assert main(["machine", "run", str(path), "--input", "0",
+                 "--budget", "10"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not forward deterministic at state 'q0'" in captured.err
+
+
 def test_rev_verify_exit_codes(capsys, corpus_dir):
     rc, _, _ = run_cli(capsys, ["rev", "verify",
                                 str(corpus_dir / "nonrev_fixture.tm")])
@@ -204,6 +217,17 @@ def test_depth_table_rows(capsys):
     assert lines[0]["payload"]["row"]["n"] == 0
 
 
+def test_depth_table_phi_inconclusive_exit_code(capsys):
+    # With D=3 no program halts (the shortest, "0001", takes 4 steps).
+    rc, lines, _ = run_cli(capsys, [
+        "depth", "table", "phi", "--n-max", "1",
+        "--max-len", "4", "--budget", "3"])
+    assert rc == EXIT_NO_WITNESS
+    assert [env["payload"]["kind"] for env in lines] == ["phi", "phi"]
+    assert [env["payload"]["row"]["n"] for env in lines] == [0, 1]
+    assert all(env["payload"]["row"]["inconclusive"] for env in lines)
+
+
 def test_cli_payloads_reproducible(capsys):
     argv = ["depth", "k", "00", "--max-len", "10", "--budget", "2000"]
     _, first, _ = run_cli(capsys, argv)
@@ -277,6 +301,25 @@ def test_truncated_ledger_tail_is_skipped_then_cut(capsys, tmp_path):
     lines = path.read_bytes().splitlines()
     assert len(lines) == entries
     assert all(json.loads(line) for line in lines)
+
+
+def test_corrupt_ledger_line_fails_and_leaves_the_file(capsys, tmp_path):
+    argv = ["depth", "k", "0", "--max-len", "8", "--budget", "1000",
+            "--cache-dir", str(tmp_path)]
+    rc, _, _ = run_cli(capsys, argv)
+    assert rc == EXIT_OK
+    (path,) = tmp_path.iterdir()
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 2
+    lines[1] = lines[1][:20] + b"\n"
+    data = b"".join(lines)
+    path.write_bytes(data)
+
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}:2: corrupt ledger line" in captured.err
+    assert path.read_bytes() == data
 
 
 def test_corpus_list(capsys):

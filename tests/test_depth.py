@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import astuple
 
@@ -26,7 +27,6 @@ from revlab.prefixvm import (
     prefix_free_check,
     print_program,
     resume_run,
-    start_run,
     universal_reversible_run,
     universal_run,
 )
@@ -413,7 +413,7 @@ def test_sweep_finds_every_program_of_every_string(aux):
         assert bool(every) == (d >= 4), d
 
 
-def test_children_of_ledger_hits_run_from_scratch(tmp_path):
+def test_children_of_ledger_hits_resume_without_decoding(tmp_path, monkeypatch):
     budget = Budget(12, 100_000)
     cold = DepthLab(ledger=RunLedger(tmp_path / "cold"))
     cold_table = cold.sweep(budget)
@@ -427,7 +427,11 @@ def test_children_of_ledger_hits_run_from_scratch(tmp_path):
     kept = path.read_text().splitlines()[::2]
     path.write_text("".join(line + "\n" for line in kept))
 
+    def no_decoding(bits):
+        raise AssertionError(f"unexpected decoding of {bits!r}")
+
     warm = DepthLab(ledger=RunLedger(tmp_path / "part"))
+    monkeypatch.setattr("revlab.prefixvm.decode_index", no_decoding)
     assert list(warm.sweep(budget).items()) == list(cold_table.items())
     warm.ledger.save()
     appended = path.read_text().splitlines()[len(kept):]
@@ -466,6 +470,39 @@ def test_ledger_lines_are_sorted_json(tmp_path, aux):
     assert RunLedger(tmp_path)._mem == lab.ledger._mem
 
 
+def test_corrupt_ledger_line_before_the_last_raises(tmp_path):
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    lab.sweep(Budget(8, 500))
+    lab.ledger.save()
+    path = lab.ledger.path
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) > 3
+    lines[2] = lines[2][:-9] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: corrupt ledger line"):
+        RunLedger(tmp_path)
+
+
+def test_ledger_without_final_newline_loads_every_entry(tmp_path, capsys):
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    lab.sweep(Budget(8, 500))
+    lab.ledger.save()
+    path = lab.ledger.path
+    data = path.read_bytes()
+    path.write_bytes(data[:-1])
+
+    ledger = RunLedger(tmp_path)
+    assert ledger._mem == lab.ledger._mem
+    ledger.run(print_program("0101"), "", 3000)
+    ledger.save()
+    assert capsys.readouterr().err == ""
+    lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == data.count(b"\n") + 1
+    assert all(json.loads(line) for line in lines)
+    assert RunLedger(tmp_path)._mem == ledger._mem
+
+
 def test_ledger_hits_identical_to_recomputation(tmp_path):
     lab = DepthLab(ledger=RunLedger(tmp_path))
     lab.sweep(Budget(6, 500))
@@ -500,7 +537,6 @@ def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
             return entry(*args)
         return run
 
-    monkeypatch.setattr("revlab.depth.start_run", counting(start_run))
     monkeypatch.setattr("revlab.depth.resume_run", counting(resume_run))
     cold = DepthLab(ledger=RunLedger(tmp_path))
     table = cold.sweep(QUICK)
@@ -534,7 +570,6 @@ def test_ledger_with_index_layer_runs_still_serves_the_sweep(tmp_path, monkeypat
     def no_run(*args):
         raise AssertionError(f"unexpected run {args}")
 
-    monkeypatch.setattr("revlab.depth.start_run", no_run)
     monkeypatch.setattr("revlab.depth.resume_run", no_run)
     warm = DepthLab(ledger=RunLedger(tmp_path))
     assert len(warm.ledger) > len(cold)

@@ -293,6 +293,20 @@ def test_run_rejects_nondeterministic_machine():
         run(m, "0", 10)
 
 
+@pytest.mark.parametrize("rules", [
+    [rw("q0", "0", "1", "q1"), rw("q0", "0", "0", "q1")],
+    [rw("q0", "0", "1", "q1"), sh("q0", 1, "q1")],
+    [sh("q0", 1, "q1"), rw("q0", "0", "1", "q1")],
+])
+def test_run_and_step_name_the_nondeterministic_state(rules):
+    m = quad(rules)
+    want = "not forward deterministic at state 'q0'"
+    with pytest.raises(MachineError, match=want):
+        run(m, "0", 10)
+    with pytest.raises(MachineError, match=want):
+        step(m, initial_configuration(m, "0"))
+
+
 # --- normalize_to_quadruples --------------------------------------------------
 
 def test_normalize_counts():

@@ -27,6 +27,8 @@ from revlab.prefixvm import (
     TAPE_EXHAUSTED,
     MalformedIndex,
     _described,
+    _fresh,
+    _parse_general,
     _prefix_machine,
     aux_copy_machine,
     all_bit_strings,
@@ -47,7 +49,6 @@ from revlab.prefixvm import (
     run_prefix,
     serialize_index,
     slow_repeater_machine,
-    start_run,
     string_of_index,
     universal_machine,
     universal_reversible_run,
@@ -565,6 +566,34 @@ def test_distinct_descriptions_distinct_rule_sets():
     assert len(set(rule_sets)) == len(rule_sets)
 
 
+def test_general_grammar_rejects_trailing_bits():
+    desc = string_of_index(serialize_index(aux_copy_machine()))
+    assert not is_diverger(enumerate_machine(index_of_string(desc)))
+    for extra in "01":
+        assert is_diverger(enumerate_machine(index_of_string(desc + extra)))
+
+
+def test_general_grammar_rejects_counts_over_its_limits():
+    # Complete bodies at each limit parse; one more is rejected.
+    def gamma(n):
+        return "0" * (n.bit_length() - 1) + bin(n)[2:]
+
+    def body(extra, states, rules=()):
+        return gamma(extra + 1) + gamma(states) + gamma(len(rules) + 1) + "".join(rules)
+
+    assert _parse_general(body(64, 1)) is not None
+    assert _parse_general(body(65, 1)) is None
+    assert _parse_general(body(0, 4096)) is not None
+    assert _parse_general(body(0, 4097)) is None
+    # 16 states and 67 work symbols give 19,296 distinct (state, reads)
+    # keys: identity ReadWrite rules on them are forward deterministic.
+    rules = [f"0{s:04b}{p}{a}{a}{w:07b}{w:07b}{o}{o}{s:04b}"
+             for s in range(16) for p in "01" for a in ("00", "01", "10")
+             for w in range(67) for o in ("00", "01", "10")]
+    assert len(_parse_general(body(64, 16, rules[:16384])).rules) == 16384
+    assert _parse_general(body(64, 16, rules[:16385])) is None
+
+
 def test_huge_malformed_index_diverges():
     assert is_diverger(enumerate_machine(123456789))
 
@@ -683,37 +712,42 @@ def test_universal_run_fingerprint():
         "f316165b59e6e8ae2165e25b6aa1b9b9f07531510f99e1c02b3702107caaf323"
 
 
+def _started(bits, aux, budget):
+    """Run ``bits`` from machine i about to start after its code <i>."""
+    i, pos = decode_index(bits)
+    return resume_run(_fresh(enumerate_machine(i), aux, pos), bits, budget)
+
+
 def _resumed_tree(bits, aux, budget, extra):
     """Every extension of ``bits`` by up to ``extra`` bits, each resumed
-    from its parent's paused run, mapped to its result."""
-    r, paused = start_run(bits, aux, budget)
+    from its parent's paused run, or from the run its parent resumed
+    when the parent did not pause, mapped to its result."""
+    r, paused = _started(bits, aux, budget)
     out, layer = {bits: r}, [(bits, paused)]
     for _ in range(extra):
         grown = []
         for w, parent in layer:
             for b in "01":
-                r, paused = (start_run(w + b, aux, budget) if parent is None
-                             else resume_run(parent, w + b, budget))
+                r, paused = resume_run(parent, w + b, budget)
                 out[w + b] = r
-                grown.append((w + b, paused))
+                grown.append((w + b, paused or parent))
         layer = grown
     return out
 
 
 def test_resumed_run_equals_run_from_scratch():
-    # Slow zeros paused on a growing payload, resumed under every budget
-    # from the pause's steps up; exhaustion while decoding <i> pauses
-    # nothing.  The skipper's program head moves two cells past the bit
-    # it read, so its next pause has scanned no new bit.
+    # Slow zeros paused on a growing payload, and the skipper, each
+    # resumed under every budget from its own first pause's steps up.
+    # The skipper's program head moves two cells past the bit it read,
+    # so its next pause has scanned no new bit.
     skipper = four_tape("skipper", "s0", [
         *read_bit("s0", "0", "_", "s1"), *read_bit("s0", "1", "_", "s1"),
         ShiftRule("s1", (1, 0, 0, 0), "s2"), ShiftRule("s2", (1, 0, 0, 0), "s3"),
         *read_bit("s3", "0", "0", "s4"), *read_bit("s3", "1", "1", "s4")])
-    assert start_run(encode_index(SLOW_ZEROS_INDEX)[:3], "", 100)[1] is None
-    slow = encode_index(SLOW_ZEROS_INDEX) + "000"
-    paused = start_run(slow, "1", 10_000)[1]
-    for budget in (paused.steps, paused.steps + 1, paused.steps + 40, 10_000):
-        for prefix in (slow, encode_index(serialize_index(skipper))):
+    for prefix in (encode_index(SLOW_ZEROS_INDEX) + "000",
+                   encode_index(serialize_index(skipper))):
+        paused = _started(prefix, "1", 10_000)[1]
+        for budget in (paused.steps, paused.steps + 1, paused.steps + 40, 10_000):
             for bits, r in _resumed_tree(prefix, "1", budget, 3).items():
                 assert r == universal_run(bits, "1", budget), (bits, budget)
 

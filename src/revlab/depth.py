@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -49,6 +50,7 @@ from pathlib import Path
 from typing import Optional
 
 from .prefixvm import (
+    BUDGET_EXCEEDED,
     HALTED,
     TAPE_EXHAUSTED,
     PausedRun,
@@ -137,6 +139,18 @@ class GrowthTable:
 _LINE = ('{{"aux": "{}", "bits": "{}", "budget": {}, "outcome": "{}", '
          '"output": "{}", "program": "{}", "steps": {}}}\n')
 
+# The same line read back, each field in the one shape the saver writes it
+# in (binary strings, an outcome name, decimal integers), so that a match
+# decodes exactly as json.loads would.  Any other line goes to json.loads.
+_OUTCOMES = {o.encode(): o for o in (HALTED, TAPE_EXHAUSTED, BUDGET_EXCEEDED)}
+_RECORD = re.compile(
+    rb'\{"aux": "([01]*)", "bits": "([01]*)", "budget": (0|[1-9][0-9]*), '
+    rb'"outcome": "(' + b"|".join(_OUTCOMES) + rb')", '
+    rb'"output": "([01]*)", "program": "([01]*)", "steps": (0|[1-9][0-9]*)\}')
+# The keys and types of a line read through json.loads.
+_FIELDS = {"aux": str, "bits": str, "budget": int, "outcome": str,
+           "output": str, "program": str, "steps": int}
+
 
 class RunLedger:
     """Cache of executed interpreter runs, persisted per digest.
@@ -149,7 +163,9 @@ class RunLedger:
     never run.  A resumed run is stored like any other; its paused run
     is not, so the children of a hit resume the paused run the hit was
     asked with.  Lines of index-layer runs, which older sweeps stored,
-    still load; the sweep just never asks for them.
+    still load; the sweep just never asks for them.  Lines are written
+    from one template, ``_LINE``, and read back through its pattern,
+    ``_RECORD``; ``json`` handles only lines the template does not fit.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -157,9 +173,14 @@ class RunLedger:
 
         The file is append-only JSONL, one executed run per line.  Ledgers
         sharing a directory append concurrently, so a key may appear on
-        several identical lines; the last line per key wins.  An
-        unparseable last line (a save cut short by a crash) is skipped
-        with a warning on stderr; a bad line anywhere else raises.
+        several identical lines; the last line per key wins.  A line in
+        the saver's own template (``_LINE`` with binary strings and
+        decimal integers) is decoded by one pattern match; any other
+        line goes through ``json.loads`` and must be a run record, the
+        seven keys with their str or int types.  An unparseable last
+        line (a save cut short by a crash) is skipped with a warning on
+        stderr; a bad line anywhere else, or valid JSON that is not a
+        run record, raises ValueError naming ``path:line``.
         """
         self.digest = universal_machine().digest
         self._mem: dict[tuple[str, str, int], PrefixRunResult] = {}
@@ -179,6 +200,12 @@ class RunLedger:
         while lines and not lines[-1].strip():
             lines.pop()
         for n, line in enumerate(lines, 1):
+            m = _RECORD.fullmatch(line)
+            if m is not None:
+                aux, bits, budget, outcome, output, program, steps = m.groups()
+                self._mem[bits.decode(), aux.decode(), int(budget)] = PrefixRunResult(
+                    _OUTCOMES[outcome], program.decode(), output.decode(), int(steps))
+                continue
             if not line.strip():
                 continue
             try:
@@ -190,8 +217,13 @@ class RunLedger:
                       file=sys.stderr)
                 self._torn = (sum(len(x) + 1 for x in lines[:-1]), len(data))
                 break
-            key = (e["bits"], e["aux"], e["budget"])
-            self._mem[key] = PrefixRunResult(
+            # Valid JSON that is not a run record is no torn save: a bad
+            # line wherever it is.
+            if not (type(e) is dict and e.keys() == _FIELDS.keys()
+                    and all(type(e[k]) is t for k, t in _FIELDS.items())):
+                raise ValueError(f"{self.path}:{n}: corrupt ledger line: "
+                                 "not a run record")
+            self._mem[e["bits"], e["aux"], e["budget"]] = PrefixRunResult(
                 e["outcome"], e["program"], e["output"], e["steps"])
 
     def run(self, bits: str, aux: str, budget: int) -> PrefixRunResult:

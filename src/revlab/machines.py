@@ -20,7 +20,7 @@ convenience subset that must have no outgoing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Iterator, Optional, Union
 
@@ -98,10 +98,16 @@ class Machine:
     def blanks(self) -> tuple[str, ...]:
         return tuple(a.blank for a in self.alphabets)
 
-    # Compiled forms, built on first use and kept on the object: the
-    # fields never change, and a lookup then hashes no rule list.
+    # Compiled forms and the hash, built on first use and kept on the
+    # object: the fields never change, and a lookup then hashes no rule
+    # list, neither in a compiled table nor as a cache key.
     _compiled = cached_property(lambda self: _compile(self))
     _step_lookup = cached_property(lambda self: _rule_lookup(self))
+    _hash = cached_property(
+        lambda self: hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def domains_overlap(a: Rule, b: Rule) -> bool:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from revlab import cli
 from revlab.cli import EXIT_INVALID, EXIT_NO_WITNESS, EXIT_OK, EXIT_USAGE, main
 from revlab.corpus import corpus_entry
 from revlab.depth import RunLedger
@@ -320,6 +321,69 @@ def test_corrupt_ledger_line_fails_and_leaves_the_file(capsys, tmp_path):
     assert captured.out == ""
     assert f"{path}:2: corrupt ledger line" in captured.err
     assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("line", [
+    b'{"a": 1}',
+    b"[1, 2]",
+    b'{"aux": "", "bits": "0001", "budget": true, "outcome": "halted", '
+    b'"output": "", "program": "0001", "steps": 4}',
+    b'{"aux": "", "bits": "0001", "budget": 1000, "outcome": "halted", '
+    b'"output": "", "program": "0001", "steps": "x"}',
+], ids=["object", "list", "bool-budget", "str-steps"])
+def test_ledger_line_that_is_no_run_record_fails_and_leaves_the_file(
+        capsys, tmp_path, line):
+    argv = ["depth", "k", "01", "--max-len", "8", "--budget", "1000",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes() + line + b"\n"
+    path.write_bytes(data)
+    capsys.readouterr()
+
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    n = data.count(b"\n")
+    assert f"{path}:{n}: corrupt ledger line: not a run record" in captured.err
+    assert path.read_bytes() == data
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
+    sequence = [
+        ["depth", "k", "0", "--aux", "1011", "--max-len", "8", "--budget", "1000"],
+        ["depth", "k", "0", "--max-len", "8", "--budget", "1000"],
+        ["depth", "ld", "101", "--b", "0", "--variant", "gen",
+         "--max-len", "10", "--budget", "5000"],
+        ["depth", "k", "1"],
+        ["univ", "run", "--bits", "0001", "--budget", "100"],
+    ]
+
+    def call(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        envs = [json.loads(line) for line in captured.out.splitlines()]
+        for env in envs:
+            del env["wall_ms"]
+        return rc, envs, captured.err
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    shared = [call(argv) for argv in sequence]
+    assert built == [1]
+    assert [rc for rc, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_OK,
+                                           EXIT_USAGE, EXIT_OK]
+    assert [env["payload"]["aux"] for env in shared[0][1] + shared[1][1]] == ["1011", ""]
+
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(call(argv))
+    assert fresh == shared
+    assert len(built) == 1 + len(sequence)
 
 
 def test_corpus_list(capsys):

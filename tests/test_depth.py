@@ -10,6 +10,8 @@ import pytest
 
 from oracles import naive_k, naive_ld_general, naive_ld_reversible
 from revlab.depth import (
+    _LINE,
+    _RECORD,
     Budget,
     ComplexityRecord,
     DepthLab,
@@ -501,6 +503,83 @@ def test_ledger_without_final_newline_loads_every_entry(tmp_path, capsys):
     assert len(lines) == data.count(b"\n") + 1
     assert all(json.loads(line) for line in lines)
     assert RunLedger(tmp_path)._mem == ledger._mem
+
+
+_RECORD_FIELDS = {"aux": "", "bits": "0001", "budget": 10, "outcome": HALTED,
+                  "output": "", "program": "0001", "steps": 4}
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 1}',
+    "[1, 2]",
+    '"0001"',
+    "null",
+    json.dumps({**_RECORD_FIELDS, "steps": "x"}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "budget": True}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "aux": None}, sort_keys=True),
+    json.dumps({k: v for k, v in _RECORD_FIELDS.items() if k != "steps"}),
+    json.dumps({**_RECORD_FIELDS, "pair": None}, sort_keys=True),
+], ids=["object", "list", "string", "null", "str-steps", "bool-budget",
+        "null-aux", "missing-key", "extra-key"])
+@pytest.mark.parametrize("last", [False, True])
+def test_ledger_line_that_is_no_run_record_raises(tmp_path, line, last):
+    # Valid JSON is never a torn save, so it is corrupt even as the last line.
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    lab.sweep(Budget(8, 500))
+    lab.ledger.save()
+    path = lab.ledger.path
+    lines = path.read_text().splitlines(keepends=True)
+    n = len(lines) + 1 if last else 2
+    lines.insert(n - 1, line + "\n")
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{n}: corrupt ledger line"):
+        RunLedger(tmp_path)
+
+
+def test_template_decode_equals_json_decode(tmp_path, monkeypatch, capsys):
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    for aux in ("", "1011"):
+        lab.sweep(Budget(12, 100_000), aux)
+    lab.ledger.save()
+    path = lab.ledger.path
+    saved = path.read_bytes().splitlines()
+    assert all(_RECORD.fullmatch(line) for line in saved)
+
+    bits, aux, budget = next(iter(lab.ledger._mem))
+    rec = {"aux": aux, "bits": bits, "budget": budget, "outcome": HALTED,
+           "output": "01", "program": bits, "steps": 7}
+    by_hand = [
+        # fields that need escaping or are not in the template's shape
+        json.dumps({**rec, "aux": "\u00e9\"\\"}, sort_keys=True),
+        json.dumps({**rec, "output": "2"}, sort_keys=True),
+        json.dumps({**rec, "outcome": "spun"}, sort_keys=True),
+        json.dumps({**rec, "steps": -3, "bits": "1"}, sort_keys=True),
+        json.dumps({**rec, "bits": "0"}, sort_keys=True).replace('"0"', '"\\u0030"'),
+        # reordered keys and extra whitespace
+        json.dumps(dict(reversed(list({**rec, "bits": "10"}.items())))),
+        json.dumps({**rec, "bits": "11"}, sort_keys=True, indent=1).replace("\n", ""),
+        " " + json.dumps({**rec, "bits": "110"}, sort_keys=True) + "\t",
+        json.dumps({**rec, "bits": "111"}, sort_keys=True, separators=(",", ":")),
+        # a saved key twice more, the last line winning
+        _LINE.format(aux, bits, budget, HALTED, "01", bits, 7)[:-1],
+        json.dumps(dict(reversed(list({**rec, "steps": 8}.items())))),
+    ]
+    assert [bool(_RECORD.fullmatch(line.encode())) for line in by_hand] == [False] * 9 + [True, False]
+    torn = json.dumps({**rec, "bits": "1111"}, sort_keys=True)[:-9]
+    path.write_bytes(b"\n".join(saved + [line.encode() for line in by_hand + [torn]]))
+
+    fast = RunLedger(tmp_path)
+    assert "truncated last line" in capsys.readouterr().err
+    monkeypatch.setattr("revlab.depth._RECORD", re.compile(b"(?!)"))
+    slow = RunLedger(tmp_path)
+    assert "truncated last line" in capsys.readouterr().err
+    assert list(fast._mem.items()) == list(slow._mem.items())
+    assert all(type(r.steps) is int for r in fast._mem.values())
+    assert len(fast) == len(lab.ledger) + 7
+    assert fast._mem[bits, aux, budget].steps == 8
+    assert fast._mem[bits, "\u00e9\"\\", budget].output == "01"
+    assert ("0", aux, budget) in fast._mem
+    assert ("1111", aux, budget) not in fast._mem
 
 
 def test_ledger_hits_identical_to_recomputation(tmp_path):

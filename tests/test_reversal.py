@@ -132,6 +132,25 @@ def test_emulator_is_verified_once(monkeypatch):
             verify_reversible(invalid)
 
 
+def test_cached_reversal_hashes_each_machine_once():
+    # invert and verify_reversible are keyed by the machine; a hit must
+    # not hash its rule list again.
+    class CountingRules(tuple):
+        hashes = 0
+
+        def __hash__(self):
+            CountingRules.hashes += 1
+            return super().__hash__()
+
+    bm = bennett_transform(corpus_entry("parity").machine)
+    m = replace(bm.machine, rules=CountingRules(bm.machine.rules))
+    first = invert(m)
+    for _ in range(3):
+        assert invert(m) is first
+        assert verify_reversible(m).reversible
+    assert CountingRules.hashes == 1
+
+
 def test_invert_refuses_nonreversible_and_cites_conflicts():
     m = corpus_entry("nonrev_fixture").machine
     with pytest.raises(ReversibilityError) as err:

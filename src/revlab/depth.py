@@ -7,24 +7,26 @@ D steps never halts.  The machinery:
   * a persistent RunLedger caching interpreter runs keyed by
     (universal digest, bits, aux, D): an append-only JSONL file holding
     only the runs actually executed;
-  * one cache entry per (L, D, aux): the sweep, the tree of machine
-    runs rooted at the code <i> of every non-diverger machine i with
-    |<i>| <= min(L, D), grown by running both children of every
-    tape-exhausted run, each for up to D steps, down to length L, and
-    stored with its exactly-consumed halting runs grouped by output.
-    The index layer (prefixes of codes, malformed pairs, indices naming
-    the diverger) is fixed by the code alone, so it is derived, never
-    run, stored or persisted.  A root starts its machine right after
-    <i>, and a child resumes its parent's paused run with one more
-    program bit, so no step of a shared prefix is simulated twice; a
-    child of a ledger hit resumes the run its parent resumed, which
-    paused on a shorter prefix.  Paused runs live only until both
-    children have run and are never persisted.  Every query reads its
-    producers from that index; a string extending a halted or
+  * one cache entry per (L, D, aux): the sweep, the tree of machine runs
+    rooted at the code <i> of every non-diverger machine i with
+    |<i>| <= min(L, D) other than the literal printer, grown by running
+    both children of every tape-exhausted run, each for up to D steps, down
+    to length L, and stored with its exactly-consumed halting runs
+    grouped by output.  The index layer (prefixes of codes, malformed
+    pairs, indices naming the diverger) is fixed by the code alone, so
+    it is derived, never run, stored or persisted.  A root starts its
+    machine right after <i>, and a child resumes its parent's paused run
+    with one more program bit, so no step of a shared prefix is
+    simulated twice; a child of a ledger hit resumes the run its parent
+    resumed, which paused on a shorter prefix.  Paused runs live only
+    until both children have run and are never persisted.  Every query
+    reads its producers from that index; a string extending a halted or
     budget-exceeded run is never a program and is not stored;
-  * the literal-print program of x is always seeded as a candidate, even
-    beyond L, which keeps k_upper below the print bound whenever the
-    step budget allows the print run at all.
+  * the literal printer is never swept: its only program for x,
+    ``print_program(x)``, is seeded as a candidate for every x, within L
+    or beyond it, and run through the ledger.  This keeps k_upper below
+    the print bound whenever the step budget allows the print run at
+    all.
 
 Candidate sets respect exact consumption: a bit string counts as a
 program for x only when the run halts having scanned precisely that
@@ -52,9 +54,11 @@ from typing import Optional
 from .prefixvm import (
     BUDGET_EXCEEDED,
     HALTED,
+    PRINT_INDEX,
     TAPE_EXHAUSTED,
     PausedRun,
     PrefixRunResult,
+    encode_index,
     machine_starts,
     print_program,
     resume_run,
@@ -159,10 +163,11 @@ class RunLedger:
     (bits, aux, budget) and the stored value the full result.  Only runs
     this ledger executed (misses in ``run`` and ``extend``) are
     persisted, and the sweep's table holds nothing but machine runs,
-    rooted at each non-diverger's code: the index layer is derived,
-    never run.  A resumed run is stored like any other; its paused run
-    is not, so the children of a hit resume the paused run the hit was
-    asked with.  Lines of index-layer runs, which older sweeps stored,
+    rooted at the code of each machine but the diverger and the literal
+    printer: the index layer is derived, never run.  A resumed run is
+    stored like any other; its paused run is not, so the children of a
+    hit resume the paused run the hit was asked with.  Lines of
+    index-layer and printer-subtree runs, which older sweeps stored,
     still load; the sweep just never asks for them.  Lines are written
     from one template, ``_LINE``, and read back through its pattern,
     ``_RECORD``; ``json`` handles only lines the template does not fit.
@@ -176,11 +181,13 @@ class RunLedger:
         several identical lines; the last line per key wins.  A line in
         the saver's own template (``_LINE`` with binary strings and
         decimal integers) is decoded by one pattern match; any other
-        line goes through ``json.loads`` and must be a run record, the
-        seven keys with their str or int types.  An unparseable last
-        line (a save cut short by a crash) is skipped with a warning on
-        stderr; a bad line anywhere else, or valid JSON that is not a
-        run record, raises ValueError naming ``path:line``.
+        line goes through ``json.loads`` and must be a run record the
+        interpreter can produce: the seven keys with their str or int
+        types, one of the three outcomes, and a budget and step count of
+        at least 0.  An unparseable last line (a save cut short by a
+        crash) is skipped with a warning on stderr; a bad line anywhere
+        else, or valid JSON that is not a run record, raises ValueError
+        naming ``path:line``.
         """
         self.digest = universal_machine().digest
         self._mem: dict[tuple[str, str, int], PrefixRunResult] = {}
@@ -220,7 +227,9 @@ class RunLedger:
             # Valid JSON that is not a run record is no torn save: a bad
             # line wherever it is.
             if not (type(e) is dict and e.keys() == _FIELDS.keys()
-                    and all(type(e[k]) is t for k, t in _FIELDS.items())):
+                    and all(type(e[k]) is t for k, t in _FIELDS.items())
+                    and e["outcome"] in _OUTCOMES.values()
+                    and e["budget"] >= 0 and e["steps"] >= 0):
                 raise ValueError(f"{self.path}:{n}: corrupt ledger line: "
                                  "not a run record")
             self._mem[e["bits"], e["aux"], e["budget"]] = PrefixRunResult(
@@ -297,6 +306,11 @@ class RunLedger:
         return len(self._mem)
 
 
+# The code of the literal printer, whose one program per x is the seed
+# _producers runs: the sweep never grows its subtree.
+_PRINTER = encode_index(PRINT_INDEX)
+
+
 def check_binary(x: str, what: str = "string") -> None:
     if any(c not in "01" for c in x):
         raise ValueError(f"{what} must be binary, got {x!r}")
@@ -313,7 +327,8 @@ class DepthLab:
 
     ``_sweeps`` holds one entry per (budget, aux): the sweep table and
     its exact halters grouped by output.  Every query reads that entry
-    and runs nothing but literal-printer seeds through the ledger.
+    and runs nothing but literal-printer seeds through the ledger, the
+    only source of printer programs.
     """
 
     ledger: RunLedger = field(default_factory=RunLedger)
@@ -329,7 +344,8 @@ class DepthLab:
         """The tree of machine runs over bit strings of length <= L.
 
         It is rooted at the code <i> of every non-diverger machine i with
-        |<i>| <= min(L, D) (:func:`prefixvm.machine_starts`); the index
+        |<i>| <= min(L, D) (:func:`prefixvm.machine_starts`) except the
+        literal printer, whose programs ``_producers`` seeds; the index
         layer around those codes is derived, never run.  Below each root
         the table holds, length by length, the two children of every
         tape-exhausted entry, each run through the ledger for <= D steps.
@@ -342,10 +358,13 @@ class DepthLab:
         is decoded.  Each paused run is dropped once both children have
         run.  The table is in canonical (length, lexicographic) order,
         and cached with its exact halters grouped by output, the index
-        ``_producers`` reads.
+        ``_producers`` reads.  A non-binary aux raises ValueError before
+        anything runs.
         """
         if (budget, aux) not in self._sweeps:
-            roots = machine_starts(min(budget.max_len, budget.max_steps), aux)
+            check_binary(aux, "aux")
+            roots = [root for root in machine_starts(min(budget.max_len, budget.max_steps),
+                                                     aux) if root[0] != _PRINTER]
             table = {}
             layer: list = []  # (bits, its parent's paused run), one length
             for n in range(budget.max_len + 1):
@@ -366,25 +385,25 @@ class DepthLab:
         return self._sweeps[budget, aux][0]
 
     def exact_halters(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
-        """Halting runs that consumed exactly their bit string."""
+        """Halting runs of the sweep that consumed exactly their bit
+        string: every program of length <= L except the printer's."""
         return {bits: r for bits, r in self.sweep(budget, aux).items()
                 if _exact(bits, r)}
 
     # -- producers ----------------------------------------------------------
 
     def _producers(self, x: str, budget: Budget, aux: str) -> dict[str, PrefixRunResult]:
-        """Programs whose run halts with output x, seeded with the literal
-        printer even when it is longer than L.  x and aux are checked
-        before anything runs."""
+        """Programs whose run halts with output x: the sweep's exact
+        halters for x, and the literal printer's one program for x, which
+        the sweep never holds, run through the ledger at any length.  x
+        and aux are checked before anything runs."""
         check_binary(x)
-        check_binary(aux, "aux")
         self.sweep(budget, aux)
         out = dict(self._sweeps[budget, aux][1].get(x, {}))
         seed = print_program(x)
-        if seed not in out:
-            r = self.ledger.run(seed, aux, budget.max_steps)
-            if _exact(seed, r) and r.output == x:
-                out[seed] = r
+        r = self.ledger.run(seed, aux, budget.max_steps)
+        if _exact(seed, r) and r.output == x:
+            out[seed] = r
         return out
 
     # -- complexity -----------------------------------------------------------

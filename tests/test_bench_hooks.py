@@ -3,10 +3,10 @@
 ``perfbench/tracing.py`` replaces layer functions where their callers
 look them up and raises ``KeyError`` on a missing one, so deleting or
 renaming a traced name fails here in milliseconds, not only in the
-benchmark's own smoke test.  The small sweep-cold command must still
-print the rows ``perfbench/expected.json`` holds for it, and the small
-interp-long runs must pass the benchmark's checks against that file, so
-a sweep or interpreter regression fails here too.
+benchmark's own smoke test.  The small and the full sweep-cold
+commands must still print the rows ``perfbench/expected.json`` holds for
+them, and the small interp-long runs must pass the benchmark's checks
+against that file, so a sweep or interpreter regression fails here too.
 """
 
 import json
@@ -38,19 +38,28 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert [dict(vars(owner)) for owner in _owners()] == before
 
 
-def test_small_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
+def _check_sweep_cold(monkeypatch, tmp_path, capsys, name, sweep_len):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
-    size = workloads.SIZES["smoke"]
+    size = workloads.SIZES[name]
     expected = json.loads((PERFBENCH / "expected.json").read_text())
     want = expected["sweep_cold"][str(size.sweep_len)]
-    assert size.sweep_len == 8
+    assert size.sweep_len == sweep_len
     rc = revlab.cli.main(workloads.sweep_argv(size, str(tmp_path)))
     envelopes = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert rc == want["rc"]
     assert [e["payload"] for e in envelopes] == want["payloads"]
     assert {e["digest"] for e in envelopes} == {expected["digest"]}
+
+
+def test_small_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
+    _check_sweep_cold(monkeypatch, tmp_path, capsys, "smoke", 8)
+
+
+def test_full_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
+    # The benchmark's own command and gate (L=16, about 25 ms).
+    _check_sweep_cold(monkeypatch, tmp_path, capsys, "full", 16)
 
 
 def test_small_interp_long_matches_expected(monkeypatch, tmp_path):

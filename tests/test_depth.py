@@ -20,10 +20,12 @@ from revlab.depth import (
 )
 from revlab.prefixvm import (
     HALTED,
+    PRINT_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
     all_bit_strings,
     decode_index,
+    encode_index,
     enumerate_machine,
     is_diverger,
     prefix_free_check,
@@ -35,6 +37,8 @@ from revlab.prefixvm import (
 
 QUICK = Budget(10, 3000)
 MID = Budget(12, 10_000)
+# The literal printer's code: the sweep never holds a string it starts.
+PRINTER = encode_index(PRINT_INDEX)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +310,73 @@ def test_growth_rows_pinned_at_tight_budget(lab):
         assert [astuple(r) for r in table.rows] == rows[table.kind, table.variant]
 
 
+def test_growth_rows_pinned_where_every_printer_lies_inside_l(lab):
+    # At L=26 the printer program of every x with |x| <= 10 is within L.
+    # The sweep holds none of them; the seed alone must give these rows,
+    # which are the ones a sweep that held the printer gave.
+    budget = Budget(26, 100_000)
+    rows = {
+        ("psi", "reversible"): [
+            (0, 73, "", "0001", None, False),
+            (1, 161, "0", "0011011", None, False),
+            (2, 237, "00", "1101000001", None, False),
+            (3, 425, "000", "00110101", None, False),
+            (4, 357, "0000", "11010000000001", None, False),
+            (5, 417, "00000", "1101000000000001", None, False),
+            (6, 477, "000000", "110100000000000001", None, False),
+            (7, 1345, "0000000", "001101001", None, False),
+            (8, 597, "00000000", "1101000000000000000001", None, False),
+            (9, 657, "000000000", "110100000000000000000001", None, False),
+            (10, 717, "0000000000", "11010000000000000000000001", None, False),
+        ],
+        ("phi", "general"): [
+            (0, 4, "", "0001", None, False),
+            (1, 10, "0", "0011011", None, False),
+            (2, 15, "00", "1101000001", None, False),
+            (3, 31, "000", "00110101", None, False),
+            (4, 23, "0000", "11010000000001", None, False),
+            (5, 27, "00000", "1101000000000001", None, False),
+            (6, 31, "000000", "110100000000000001", None, False),
+            (7, 106, "0000000", "001101001", None, False),
+            (8, 39, "00000000", "1101000000000000000001", None, False),
+            (9, 43, "000000000", "110100000000000000000001", None, False),
+            (10, 47, "0000000000", "11010000000000000000000001", None, False),
+        ],
+        ("f", "reversible"): [
+            (0, 0, "", "0001", 0, False),
+            (1, 0, "0", "0011011", 0, False),
+            (2, 0, "00", "1101000001", 0, False),
+            (3, 236, "000", "00110101", 0, False),
+            (4, 0, "0000", "11010000000001", 0, False),
+            (5, 0, "00000", "1101000000000001", 0, False),
+            (6, 0, "000000", "110100000000000001", 0, False),
+            (7, 0, "0000000", "001101001", 0, False),
+            (8, 0, "00000000", "1101000000000000000001", 0, False),
+            (9, 0, "000000000", "110100000000000000000001", 0, False),
+            (10, 0, "0000000000", "11010000000000000000000001", 0, False),
+        ],
+        ("f", "general"): [
+            (0, 0, "", "0001", 0, False),
+            (1, 0, "0", "0011011", 0, False),
+            (2, 0, "00", "1101000001", 0, False),
+            (3, 0, "000", "000001000", 0, False),
+            (4, 0, "0000", "11010000000001", 0, False),
+            (5, 0, "00000", "1101000000000001", 0, False),
+            (6, 0, "000000", "110100000000000001", 0, False),
+            (7, 0, "0000000", "11010000000000000001", 0, False),
+            (8, 0, "00000000", "1101000000000000000001", 0, False),
+            (9, 0, "000000000", "110100000000000000000001", 0, False),
+            (10, 0, "0000000000", "11010000000000000000000001", 0, False),
+        ],
+    }
+    tables = [lab.psi_table(10, budget), lab.phi_table(10, budget),
+              lab.f_table(10, budget, variant="reversible"),
+              lab.f_table(10, budget, variant="general")]
+    for table in tables:
+        assert table.budget == budget
+        assert [astuple(r) for r in table.rows] == rows[table.kind, table.variant]
+
+
 # --- budget monotonicity -----------------------------------------------------------
 
 def test_budget_monotonicity_in_steps(lab):
@@ -346,9 +417,12 @@ def _tree_from_scratch(budget, aux):
 
 def _machine_runs(budget, aux):
     """The from-scratch tree over all strings, kept to the strings whose
-    <i> decodes within D to a machine other than the diverger."""
+    <i> decodes within D to a machine other than the diverger and the
+    literal printer."""
     kept = {}
     for bits, r in _tree_from_scratch(budget, aux).items():
+        if bits.startswith(PRINTER):
+            continue
         try:
             decoded = decode_index(bits[:budget.max_steps])
         except MalformedIndex:
@@ -370,7 +444,7 @@ def test_sweep_is_the_tree_of_executed_runs(budget, aux):
     direct = {}
     for bits in all_bit_strings(budget.max_len):
         r = universal_run(bits, aux, budget.max_steps)
-        if r.outcome == HALTED and r.program == bits:
+        if r.outcome == HALTED and r.program == bits and not bits.startswith(PRINTER):
             direct[bits] = r
     assert lab.exact_halters(budget, aux) == direct
 
@@ -392,9 +466,10 @@ def test_resumed_sweep_equals_runs_from_scratch(aux):
 
 @pytest.mark.parametrize("aux", ["", "1011"])
 def test_sweep_finds_every_program_of_every_string(aux):
-    # The sweep never runs the index layer; running every string up to
-    # L=12 must find the same programs per output, with D below, at and
-    # above the 4 steps of the halt program "0001".
+    # The sweep never runs the index layer or the literal printer; its
+    # exact halters plus the printer's one program per x within L must be
+    # what running every string up to L=12 finds per output, with D
+    # below, at and above the 4 steps of the halt program "0001".
     max_len = 12
     for d in (0, 3, 4, 5, 17, 800, 100_000):
         every: dict = {}
@@ -408,11 +483,47 @@ def test_sweep_finds_every_program_of_every_string(aux):
         report = prefix_free_check(max_len, d, aux, runner=runner)
         assert report.runs == 2 ** (max_len + 1) - 1
         assert report.prefix_free
-        sweep: dict = {}
+        found: dict = {}
         for bits, r in DepthLab().exact_halters(Budget(max_len, d), aux).items():
-            sweep.setdefault(r.output, {})[bits] = r
-        assert sweep == every, d
+            assert not bits.startswith(PRINTER), bits
+            found.setdefault(r.output, {})[bits] = r
+        for x in all_bit_strings((max_len - len(PRINTER) - 2) // 2):
+            seed = print_program(x)
+            r = universal_run(seed, aux, d)
+            if r.outcome == HALTED and r.program == seed:
+                found.setdefault(r.output, {})[seed] = r
+        assert found == every, d
         assert bool(every) == (d >= 4), d
+
+
+def test_cold_sweep_never_resumes_the_printer(monkeypatch):
+    resumed = []
+
+    def recording(paused, bits, budget):
+        resumed.append(bits)
+        return resume_run(paused, bits, budget)
+
+    monkeypatch.setattr("revlab.depth.resume_run", recording)
+    table = DepthLab().sweep(Budget(16, 100_000))
+    assert len(table) == len(resumed) == 54
+    assert not [bits for bits in resumed if bits.startswith(PRINTER)]
+    assert not [bits for bits in table if bits.startswith(PRINTER)]
+    assert len(DepthLab().sweep(Budget(26, 100_000))) == 102
+
+
+@pytest.mark.parametrize("method", ["sweep", "exact_halters"])
+def test_sweep_of_a_non_binary_aux_raises_before_running(tmp_path, monkeypatch, method):
+    def no_run(*args):
+        raise AssertionError(f"unexpected run {args}")
+
+    monkeypatch.setattr("revlab.depth.resume_run", no_run)
+    monkeypatch.setattr("revlab.depth.universal_run", no_run)
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    with pytest.raises(ValueError, match="aux must be binary"):
+        getattr(lab, method)(Budget(10, 1000), "2")
+    lab.ledger.save()
+    assert len(lab.ledger) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_children_of_ledger_hits_resume_without_decoding(tmp_path, monkeypatch):
@@ -519,8 +630,12 @@ _RECORD_FIELDS = {"aux": "", "bits": "0001", "budget": 10, "outcome": HALTED,
     json.dumps({**_RECORD_FIELDS, "aux": None}, sort_keys=True),
     json.dumps({k: v for k, v in _RECORD_FIELDS.items() if k != "steps"}),
     json.dumps({**_RECORD_FIELDS, "pair": None}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "outcome": "spun"}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "steps": -3, "bits": "1"}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "budget": -1}, sort_keys=True),
 ], ids=["object", "list", "string", "null", "str-steps", "bool-budget",
-        "null-aux", "missing-key", "extra-key"])
+        "null-aux", "missing-key", "extra-key", "unknown-outcome",
+        "negative-steps", "negative-budget"])
 @pytest.mark.parametrize("last", [False, True])
 def test_ledger_line_that_is_no_run_record_raises(tmp_path, line, last):
     # Valid JSON is never a torn save, so it is corrupt even as the last line.
@@ -552,8 +667,6 @@ def test_template_decode_equals_json_decode(tmp_path, monkeypatch, capsys):
         # fields that need escaping or are not in the template's shape
         json.dumps({**rec, "aux": "\u00e9\"\\"}, sort_keys=True),
         json.dumps({**rec, "output": "2"}, sort_keys=True),
-        json.dumps({**rec, "outcome": "spun"}, sort_keys=True),
-        json.dumps({**rec, "steps": -3, "bits": "1"}, sort_keys=True),
         json.dumps({**rec, "bits": "0"}, sort_keys=True).replace('"0"', '"\\u0030"'),
         # reordered keys and extra whitespace
         json.dumps(dict(reversed(list({**rec, "bits": "10"}.items())))),
@@ -564,7 +677,7 @@ def test_template_decode_equals_json_decode(tmp_path, monkeypatch, capsys):
         _LINE.format(aux, bits, budget, HALTED, "01", bits, 7)[:-1],
         json.dumps(dict(reversed(list({**rec, "steps": 8}.items())))),
     ]
-    assert [bool(_RECORD.fullmatch(line.encode())) for line in by_hand] == [False] * 9 + [True, False]
+    assert [bool(_RECORD.fullmatch(line.encode())) for line in by_hand] == [False] * 7 + [True, False]
     torn = json.dumps({**rec, "bits": "1111"}, sort_keys=True)[:-9]
     path.write_bytes(b"\n".join(saved + [line.encode() for line in by_hand + [torn]]))
 
@@ -575,7 +688,7 @@ def test_template_decode_equals_json_decode(tmp_path, monkeypatch, capsys):
     assert "truncated last line" in capsys.readouterr().err
     assert list(fast._mem.items()) == list(slow._mem.items())
     assert all(type(r.steps) is int for r in fast._mem.values())
-    assert len(fast) == len(lab.ledger) + 7
+    assert len(fast) == len(lab.ledger) + 6
     assert fast._mem[bits, aux, budget].steps == 8
     assert fast._mem[bits, "\u00e9\"\\", budget].output == "01"
     assert ("0", aux, budget) in fast._mem
@@ -682,9 +795,8 @@ def test_producers_index_matches_scan(aux):
     for x in all_bit_strings(4):
         scan = {p: r for p, r in halters.items() if r.output == x}
         seed = print_program(x)
-        if seed not in scan:
-            r = lab.ledger.run(seed, aux, budget.max_steps)
-            if r.outcome == HALTED and r.program == seed and r.output == x:
-                scan[seed] = r
+        r = lab.ledger.run(seed, aux, budget.max_steps)
+        if r.outcome == HALTED and r.program == seed and r.output == x:
+            scan[seed] = r
         assert list(lab._producers(x, budget, aux).items()) == \
             list(scan.items()), x

@@ -5,8 +5,9 @@ key order; diagnostics go to stderr.  Envelope fields: ``tool``,
 ``digest`` (the reference interpreter), ``budget`` (when one applies),
 ``payload``, and ``wall_ms`` (excluded from reproducibility comparisons).
 
-Exit codes: 0 success; 2 usage or file parse error; 3 validation or
-property-check failure; 4 NoWitness / inconclusive outcome.
+Exit codes: 0 success; 2 usage error, file parse error or unusable file
+or directory; 3 validation or property-check failure; 4 NoWitness /
+inconclusive outcome.
 """
 
 from __future__ import annotations
@@ -415,8 +416,8 @@ def main(argv=None) -> int:
     except MachineFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (MachineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,6 @@ downward; records carry flags for nested non-exhaustive results.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -138,22 +137,17 @@ class GrowthTable:
     universal_digest: str
 
 
-# One ledger line, keys in sorted order, as ``json.dumps(..., sort_keys=True)``
-# writes it when no string needs escaping.
+# One ledger line: the bytes ``json.dumps(..., sort_keys=True)`` writes for
+# binary strings, the only strings ``run`` and ``extend`` accept.
 _LINE = ('{{"aux": "{}", "bits": "{}", "budget": {}, "outcome": "{}", '
          '"output": "{}", "program": "{}", "steps": {}}}\n')
 
-# The same line read back, each field in the one shape the saver writes it
-# in (binary strings, an outcome name, decimal integers), so that a match
-# decodes exactly as json.loads would.  Any other line goes to json.loads.
+# The same line read back; any other line is no run record.
 _OUTCOMES = {o.encode(): o for o in (HALTED, TAPE_EXHAUSTED, BUDGET_EXCEEDED)}
 _RECORD = re.compile(
     rb'\{"aux": "([01]*)", "bits": "([01]*)", "budget": (0|[1-9][0-9]*), '
     rb'"outcome": "(' + b"|".join(_OUTCOMES) + rb')", '
     rb'"output": "([01]*)", "program": "([01]*)", "steps": (0|[1-9][0-9]*)\}')
-# The keys and types of a line read through json.loads.
-_FIELDS = {"aux": str, "bits": str, "budget": int, "outcome": str,
-           "output": str, "program": str, "steps": int}
 
 
 class RunLedger:
@@ -168,9 +162,9 @@ class RunLedger:
     stored like any other; its paused run is not, so the children of a
     hit resume the paused run the hit was asked with.  Lines of
     index-layer and printer-subtree runs, which older sweeps stored,
-    still load; the sweep just never asks for them.  Lines are written
-    from one template, ``_LINE``, and read back through its pattern,
-    ``_RECORD``; ``json`` handles only lines the template does not fit.
+    still load; the sweep just never asks for them.  Every line is
+    written from one template, ``_LINE``, and read back through its
+    pattern, ``_RECORD``.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -178,22 +172,16 @@ class RunLedger:
 
         The file is append-only JSONL, one executed run per line.  Ledgers
         sharing a directory append concurrently, so a key may appear on
-        several identical lines; the last line per key wins.  A line in
-        the saver's own template (``_LINE`` with binary strings and
-        decimal integers) is decoded by one pattern match; any other
-        line goes through ``json.loads`` and must be a run record the
-        interpreter can produce: the seven keys with their str or int
-        types, one of the three outcomes, and a budget and step count of
-        at least 0.  An unparseable last line (a save cut short by a
-        crash) is skipped with a warning on stderr; a bad line anywhere
-        else, or valid JSON that is not a run record, raises ValueError
-        naming ``path:line``.
+        several identical lines; the last line per key wins.  Blank lines
+        are skipped.  A saved line always ends in a newline, so a last
+        line without one that does not match ``_RECORD`` is a save cut
+        short by a crash: it is skipped with a warning on stderr.  Any
+        other line that does not match raises ValueError naming
+        ``path:line``.
         """
         self.digest = universal_machine().digest
         self._mem: dict[tuple[str, str, int], PrefixRunResult] = {}
         self._fresh: list[tuple[str, str, int]] = []
-        # (offset, file size) of a skipped truncated tail, cut by save()
-        self._torn: Optional[tuple[int, int]] = None
         self.path: Optional[Path] = None
         if cache_dir is not None:
             self.path = Path(cache_dir) / f"{self.digest}.jsonl"
@@ -202,43 +190,29 @@ class RunLedger:
     def _load(self) -> None:
         if self.path is None or not self.path.exists():
             return
-        data = self.path.read_bytes()
-        lines = data.split(b"\n")
-        while lines and not lines[-1].strip():
-            lines.pop()
+        lines = self.path.read_bytes().split(b"\n")
         for n, line in enumerate(lines, 1):
             m = _RECORD.fullmatch(line)
             if m is not None:
                 aux, bits, budget, outcome, output, program, steps = m.groups()
                 self._mem[bits.decode(), aux.decode(), int(budget)] = PrefixRunResult(
                     _OUTCOMES[outcome], program.decode(), output.decode(), int(steps))
-                continue
-            if not line.strip():
-                continue
-            try:
-                e = json.loads(line)
-            except ValueError as exc:
+            elif line.strip():
                 if n < len(lines):
-                    raise ValueError(f"{self.path}:{n}: corrupt ledger line: {exc}") from exc
+                    raise ValueError(f"{self.path}:{n}: corrupt ledger line: "
+                                     "not a run record")
                 print(f"warning: {self.path}:{n}: skipping truncated last line",
                       file=sys.stderr)
-                self._torn = (sum(len(x) + 1 for x in lines[:-1]), len(data))
-                break
-            # Valid JSON that is not a run record is no torn save: a bad
-            # line wherever it is.
-            if not (type(e) is dict and e.keys() == _FIELDS.keys()
-                    and all(type(e[k]) is t for k, t in _FIELDS.items())
-                    and e["outcome"] in _OUTCOMES.values()
-                    and e["budget"] >= 0 and e["steps"] >= 0):
-                raise ValueError(f"{self.path}:{n}: corrupt ledger line: "
-                                 "not a run record")
-            self._mem[e["bits"], e["aux"], e["budget"]] = PrefixRunResult(
-                e["outcome"], e["program"], e["output"], e["steps"])
 
     def run(self, bits: str, aux: str, budget: int) -> PrefixRunResult:
+        """The run of ``bits`` on ``aux``, from the ledger or executed.  A
+        miss with non-binary bits or aux raises ValueError before running,
+        so every line ``save`` writes reads back through ``_RECORD``."""
         key = (bits, aux, budget)
         hit = self._mem.get(key)
         if hit is None:
+            check_binary(bits, "bits")
+            check_binary(aux, "aux")
             hit = self._mem[key] = universal_run(bits, aux, budget)
             self._fresh.append(key)
         return hit
@@ -254,6 +228,8 @@ class RunLedger:
         hit = self._mem.get(key)
         if hit is not None:
             return hit, parent
+        check_binary(bits, "bits")
+        check_binary(aux, "aux")
         result, paused = resume_run(parent, bits, budget)
         self._mem[key] = result
         self._fresh.append(key)
@@ -267,40 +243,35 @@ class RunLedger:
         """Append the runs executed since the last save to the file.
 
         The batch goes out in one write to a file opened for appending,
-        after a newline when the file does not end in one, so concurrent
-        savers never clobber each other.  Stored lines are never
-        rewritten, so no temp file or ``os.replace`` is needed; only a
-        truncated tail skipped at load is cut off first, unless the file
-        has grown since.
+        so concurrent savers never clobber each other, and nothing stored
+        is rewritten.  When the file does not end in a newline, its last
+        line is read back: a run record gets its newline, and anything
+        else, such as a save cut short by a crash, is cut off before the
+        append.
         """
         if self.path is None or not self._fresh:
             return
         lines = []
         for bits, aux, budget in self._fresh:
-            r = self._mem[(bits, aux, budget)]
-            if (bits + aux + r.output + r.program).strip("01"):
-                lines.append(json.dumps(
-                    {"bits": bits, "aux": aux, "budget": budget,
-                     "outcome": r.outcome, "program": r.program,
-                     "output": r.output, "steps": r.steps},
-                    sort_keys=True) + "\n")
-            else:  # nothing to escape: the same bytes, formatted directly
-                lines.append(_LINE.format(aux, bits, budget, r.outcome,
-                                          r.output, r.program, r.steps))
+            r = self._mem[bits, aux, budget]
+            lines.append(_LINE.format(aux, bits, budget, r.outcome, r.output,
+                                      r.program, r.steps))
         data = "".join(lines).encode()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("ab+", buffering=0) as fh:
             end = fh.seek(0, os.SEEK_END)
-            if self._torn is not None and self._torn[1] == end:
-                end = fh.truncate(self._torn[0])
             if end:
                 fh.seek(end - 1)
                 if fh.read(1) != b"\n":
-                    data = b"\n" + data
+                    fh.seek(0)
+                    last = fh.read().rpartition(b"\n")[2]
+                    if _RECORD.fullmatch(last):
+                        data = b"\n" + data
+                    else:
+                        fh.truncate(end - len(last))
             if fh.write(data) != len(data):
                 raise OSError(f"{self.path}: short write while appending runs")
         self._fresh.clear()
-        self._torn = None
 
     def __len__(self) -> int:
         return len(self._mem)
@@ -312,7 +283,7 @@ _PRINTER = encode_index(PRINT_INDEX)
 
 
 def check_binary(x: str, what: str = "string") -> None:
-    if any(c not in "01" for c in x):
+    if x.strip("01"):
         raise ValueError(f"{what} must be binary, got {x!r}")
 
 

@@ -641,6 +641,8 @@ def run(m: Machine, input_symbols: str | tuple[str, ...], budget: int) -> RunRes
 def trace_run(m: Machine, input_symbols: str | tuple[str, ...],
               budget: int) -> Iterator[Configuration]:
     """Yield the initial configuration and every successor up to the budget."""
+    if budget < 0:
+        raise MachineError("budget must be >= 0")
     c = initial_configuration(m, input_symbols)
     yield c
     for _ in range(budget):

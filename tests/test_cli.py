@@ -1,5 +1,6 @@
 """CLI dispatch, envelopes, exit codes, and reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -58,6 +59,16 @@ def test_machine_run_and_trace(capsys, corpus_dir):
         "--input", "10", "--budget", "100"])
     assert rc == EXIT_OK
     assert len(lines) == 5  # initial configuration plus four steps
+
+
+@pytest.mark.parametrize("cmd", ["run", "trace"])
+def test_machine_negative_budget_is_rejected(capsys, corpus_dir, cmd):
+    rc = main(["machine", cmd, str(corpus_dir / "flipper.tm"),
+               "--input", "10", "--budget", "-1"])
+    assert rc == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be >= 0" in captured.err
 
 
 def test_machine_run_rejects_nondeterministic_machine(capsys, tmp_path):
@@ -347,6 +358,36 @@ def test_ledger_line_that_is_no_run_record_fails_and_leaves_the_file(
     n = data.count(b"\n")
     assert f"{path}:{n}: corrupt ledger line: not a run record" in captured.err
     assert path.read_bytes() == data
+
+
+def test_cold_cli_runs_write_a_pinned_ledger(capsys, tmp_path):
+    # Any change to the bytes of a ledger line, or to which runs are
+    # saved in which order, changes the file.
+    common = ["--max-len", "12", "--budget", "100000", "--cache-dir", str(tmp_path)]
+    for argv in (["depth", "table", "f", "--n-max", "4", "--variant", "reversible"],
+                 ["depth", "table", "f", "--n-max", "4", "--variant", "general"],
+                 ["depth", "k", "0", "--aux", "1011"]):
+        assert main(argv + common) == EXIT_OK
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    assert data.count(b"\n") == 167
+    assert hashlib.sha256(data).hexdigest() == (
+        "92163dbad94436f67ddc70be9c5cce854521fc3715253d1c9fa0ee746be47560")
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", "k", "0", "--max-len", "4", "--budget", "100", "--cache-dir"],
+    ["corpus", "export"],
+], ids=["cache-dir", "export"])
+def test_unusable_path_is_a_file_error(capsys, tmp_path, argv):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    assert main(argv + [str(plain)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert str(plain) in captured.err
+    assert plain.read_text() == "not a directory\n"
 
 
 def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):

@@ -23,11 +23,13 @@ from revlab.prefixvm import (
     PRINT_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
+    PrefixRunResult,
     all_bit_strings,
     decode_index,
     encode_index,
     enumerate_machine,
     is_diverger,
+    machine_starts,
     prefix_free_check,
     print_program,
     resume_run,
@@ -570,17 +572,39 @@ def test_ledger_roundtrip(tmp_path):
 @pytest.mark.parametrize("aux", ["", "1011"])
 def test_ledger_lines_are_sorted_json(tmp_path, aux):
     # Lines are formatted directly; they must be the bytes json.dumps
-    # with sorted keys writes, also for a string it has to escape.
+    # with sorted keys writes, so that JSON readers still parse the file.
+    # A string it would have to escape is never run, so never saved.
     lab = DepthLab(ledger=RunLedger(tmp_path))
     table = lab.sweep(Budget(10, 100_000), aux)
-    lab.ledger.run("0001", "\u00e9\"", 10)
+    with pytest.raises(ValueError, match="aux must be binary"):
+        lab.ledger.run("0001", "\u00e9\"", 10)
     lab.ledger.save()
     lines = lab.ledger.path.read_text().splitlines()
-    assert len(lines) == len(table) + 1
+    assert len(lines) == len(table)
     for line in lines:
         assert line == json.dumps(json.loads(line), sort_keys=True)
-    assert "\\u00e9\\\"" in lines[-1]
     assert RunLedger(tmp_path)._mem == lab.ledger._mem
+
+
+@pytest.mark.parametrize("bits, aux", [
+    ("0002", ""), ("0001", "\u00e9\""), ("1\n", "0"), ("", " 1"),
+], ids=["bits-2", "aux-escaped", "bits-newline", "aux-space"])
+@pytest.mark.parametrize("method", ["run", "extend"])
+def test_ledger_runs_only_binary_strings(tmp_path, monkeypatch, method, bits, aux):
+    (root, parent), *_ = machine_starts(8, "")
+
+    def no_run(*args):
+        raise AssertionError(f"unexpected run {args}")
+
+    monkeypatch.setattr("revlab.depth.universal_run", no_run)
+    monkeypatch.setattr("revlab.depth.resume_run", no_run)
+    ledger = RunLedger(tmp_path)
+    args = (bits, aux, 100) if method == "run" else (root + bits, aux, 100, parent)
+    with pytest.raises(ValueError, match="must be binary"):
+        getattr(ledger, method)(*args)
+    ledger.save()
+    assert len(ledger) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_corrupt_ledger_line_before_the_last_raises(tmp_path):
@@ -633,12 +657,22 @@ _RECORD_FIELDS = {"aux": "", "bits": "0001", "budget": 10, "outcome": HALTED,
     json.dumps({**_RECORD_FIELDS, "outcome": "spun"}, sort_keys=True),
     json.dumps({**_RECORD_FIELDS, "steps": -3, "bits": "1"}, sort_keys=True),
     json.dumps({**_RECORD_FIELDS, "budget": -1}, sort_keys=True),
+    # run records by hand, not in the saver's template
+    json.dumps({**_RECORD_FIELDS, "aux": "\u00e9\"\\"}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "output": "2"}, sort_keys=True),
+    json.dumps({**_RECORD_FIELDS, "bits": "0"}, sort_keys=True).replace('"0"', '"\\u0030"'),
+    json.dumps(dict(reversed(list(_RECORD_FIELDS.items())))),
+    json.dumps(_RECORD_FIELDS, sort_keys=True, indent=1).replace("\n", ""),
+    " " + json.dumps(_RECORD_FIELDS, sort_keys=True) + "\t",
+    json.dumps(_RECORD_FIELDS, sort_keys=True, separators=(",", ":")),
 ], ids=["object", "list", "string", "null", "str-steps", "bool-budget",
         "null-aux", "missing-key", "extra-key", "unknown-outcome",
-        "negative-steps", "negative-budget"])
+        "negative-steps", "negative-budget", "escaped-aux", "non-binary-output",
+        "unicode-escape", "reordered-keys", "indented", "padded", "compact"])
 @pytest.mark.parametrize("last", [False, True])
 def test_ledger_line_that_is_no_run_record_raises(tmp_path, line, last):
-    # Valid JSON is never a torn save, so it is corrupt even as the last line.
+    # A line that ends in a newline is never a torn save, so it is
+    # corrupt even as the last line.
     lab = DepthLab(ledger=RunLedger(tmp_path))
     lab.sweep(Budget(8, 500))
     lab.ledger.save()
@@ -651,7 +685,7 @@ def test_ledger_line_that_is_no_run_record_raises(tmp_path, line, last):
         RunLedger(tmp_path)
 
 
-def test_template_decode_equals_json_decode(tmp_path, monkeypatch, capsys):
+def test_template_decode_equals_json_decode(tmp_path, capsys):
     lab = DepthLab(ledger=RunLedger(tmp_path))
     for aux in ("", "1011"):
         lab.sweep(Budget(12, 100_000), aux)
@@ -660,39 +694,51 @@ def test_template_decode_equals_json_decode(tmp_path, monkeypatch, capsys):
     saved = path.read_bytes().splitlines()
     assert all(_RECORD.fullmatch(line) for line in saved)
 
+    # a blank line, a saved key twice more with the last line winning,
+    # then a torn save
     bits, aux, budget = next(iter(lab.ledger._mem))
-    rec = {"aux": aux, "bits": bits, "budget": budget, "outcome": HALTED,
-           "output": "01", "program": bits, "steps": 7}
-    by_hand = [
-        # fields that need escaping or are not in the template's shape
-        json.dumps({**rec, "aux": "\u00e9\"\\"}, sort_keys=True),
-        json.dumps({**rec, "output": "2"}, sort_keys=True),
-        json.dumps({**rec, "bits": "0"}, sort_keys=True).replace('"0"', '"\\u0030"'),
-        # reordered keys and extra whitespace
-        json.dumps(dict(reversed(list({**rec, "bits": "10"}.items())))),
-        json.dumps({**rec, "bits": "11"}, sort_keys=True, indent=1).replace("\n", ""),
-        " " + json.dumps({**rec, "bits": "110"}, sort_keys=True) + "\t",
-        json.dumps({**rec, "bits": "111"}, sort_keys=True, separators=(",", ":")),
-        # a saved key twice more, the last line winning
-        _LINE.format(aux, bits, budget, HALTED, "01", bits, 7)[:-1],
-        json.dumps(dict(reversed(list({**rec, "steps": 8}.items())))),
-    ]
-    assert [bool(_RECORD.fullmatch(line.encode())) for line in by_hand] == [False] * 7 + [True, False]
-    torn = json.dumps({**rec, "bits": "1111"}, sort_keys=True)[:-9]
-    path.write_bytes(b"\n".join(saved + [line.encode() for line in by_hand + [torn]]))
+    again = [_LINE.format(aux, bits, budget, HALTED, "01", bits, steps)[:-1].encode()
+             for steps in (7, 8)]
+    torn = _LINE.format(aux, "1111", budget, HALTED, "01", "1111", 7)[:-9]
+    path.write_bytes(b"\n".join(saved + [b" "] + again + [torn.encode()]))
 
-    fast = RunLedger(tmp_path)
+    ledger = RunLedger(tmp_path)
     assert "truncated last line" in capsys.readouterr().err
-    monkeypatch.setattr("revlab.depth._RECORD", re.compile(b"(?!)"))
-    slow = RunLedger(tmp_path)
-    assert "truncated last line" in capsys.readouterr().err
-    assert list(fast._mem.items()) == list(slow._mem.items())
-    assert all(type(r.steps) is int for r in fast._mem.values())
-    assert len(fast) == len(lab.ledger) + 6
-    assert fast._mem[bits, aux, budget].steps == 8
-    assert fast._mem[bits, "\u00e9\"\\", budget].output == "01"
-    assert ("0", aux, budget) in fast._mem
-    assert ("1111", aux, budget) not in fast._mem
+    by_json = {}
+    for line in saved + again:
+        e = json.loads(line)
+        by_json[e["bits"], e["aux"], e["budget"]] = PrefixRunResult(
+            e["outcome"], e["program"], e["output"], e["steps"])
+    assert list(ledger._mem.items()) == list(by_json.items())
+    assert all(type(r.steps) is int for r in ledger._mem.values())
+    assert len(ledger) == len(lab.ledger)
+    assert ledger._mem[bits, aux, budget].steps == 8
+    assert ("1111", aux, budget) not in ledger._mem
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_tail_left_under_a_loaded_ledger_is_settled_by_its_save(tmp_path, capsys, whole):
+    # A third writer leaves a line without its newline after the second
+    # ledger has loaded: a torn save is cut, a whole record keeps its line.
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    lab.sweep(Budget(8, 500))
+    lab.ledger.save()
+    path = lab.ledger.path
+    second = RunLedger(tmp_path)
+    third = RunLedger()
+    r = third.run(print_program("1110"), "", 3000)
+    tail = _LINE.format("", print_program("1110"), 3000, r.outcome, r.output,
+                        r.program, r.steps)[:-1]
+    with path.open("a") as fh:
+        fh.write(tail if whole else tail[:30])
+    second.run(print_program("0101"), "", 3000)
+    second.save()
+
+    fresh = RunLedger(tmp_path)
+    assert capsys.readouterr().err == ""
+    assert path.read_bytes().endswith(b"\n")
+    assert fresh._mem == ({**second._mem, **third._mem} if whole else second._mem)
+    assert len(fresh) == len(lab.ledger) + 1 + whole == 22 + whole
 
 
 def test_ledger_hits_identical_to_recomputation(tmp_path):

@@ -243,11 +243,12 @@ class RunLedger:
         """Append the runs executed since the last save to the file.
 
         The batch goes out in one write to a file opened for appending,
-        so concurrent savers never clobber each other, and nothing stored
-        is rewritten.  When the file does not end in a newline, its last
-        line is read back: a run record gets its newline, and anything
-        else, such as a save cut short by a crash, is cut off before the
-        append.
+        and nothing stored is rewritten.  When the file does not end in a
+        newline, its last line is read back: a run record gets its
+        newline, and anything else, such as a save cut short by a crash,
+        is cut off before the append.  Check, cut and append happen under
+        an exclusive lock on the file, so concurrent savers never cut or
+        clobber each other's lines.
         """
         if self.path is None or not self._fresh:
             return
@@ -257,18 +258,22 @@ class RunLedger:
             lines.append(_LINE.format(aux, bits, budget, r.outcome, r.output,
                                       r.program, r.steps))
         data = "".join(lines).encode()
+        import fcntl  # only saves lock; imported by the first one
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("ab+", buffering=0) as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
             end = fh.seek(0, os.SEEK_END)
             if end:
                 fh.seek(end - 1)
                 if fh.read(1) != b"\n":
                     fh.seek(0)
-                    last = fh.read().rpartition(b"\n")[2]
+                    buf = fh.read()
+                    last = buf.rpartition(b"\n")[2]
                     if _RECORD.fullmatch(last):
                         data = b"\n" + data
                     else:
-                        fh.truncate(end - len(last))
+                        fh.truncate(len(buf) - len(last))
             if fh.write(data) != len(data):
                 raise OSError(f"{self.path}: short write while appending runs")
         self._fresh.clear()

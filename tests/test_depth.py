@@ -3,8 +3,10 @@
 import json
 import math
 import re
+import threading
 from collections import Counter
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
@@ -739,6 +741,74 @@ def test_tail_left_under_a_loaded_ledger_is_settled_by_its_save(tmp_path, capsys
     assert path.read_bytes().endswith(b"\n")
     assert fresh._mem == ({**second._mem, **third._mem} if whole else second._mem)
     assert len(fresh) == len(lab.ledger) + 1 + whole == 22 + whole
+
+
+def test_savers_racing_over_a_torn_tail_keep_a_loadable_file(tmp_path, monkeypatch):
+    # Two ledgers save while a crashed writer's torn line ends the file.
+    # The second save starts while the first holds the file open, and
+    # waits for the first to finish its check, cut and append.
+    lab = DepthLab(ledger=RunLedger(tmp_path))
+    lab.sweep(Budget(8, 500))
+    lab.ledger.save()
+    path = lab.ledger.path
+    first, second = RunLedger(tmp_path), RunLedger(tmp_path)
+    first.run(print_program("0101"), "", 3000)
+    for x in ("1110", "0011", "110011", "1011100"):
+        second.run(print_program(x), "", 3000)
+    r = RunLedger().run(print_program("10"), "", 3000)
+    with path.open("a") as fh:
+        fh.write(_LINE.format("", print_program("10"), 3000, r.outcome, r.output,
+                              r.program, r.steps)[:30])
+
+    errors, waited = [], []
+
+    def save_second():
+        try:
+            second.save()
+        except BaseException as e:  # surfaced by the assert below
+            errors.append(e)
+
+    racer = threading.Thread(target=save_second)
+
+    class Interleaved:
+        """The first saver's file: its first read lets the second saver go."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+        def read(self, *args):
+            if racer.ident is None:
+                racer.start()
+                racer.join(timeout=0.5)
+                waited.append(racer.is_alive())
+            return self._fh.read(*args)
+
+    real_open = Path.open
+
+    def open_once(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        return Interleaved(fh) if racer.ident is None else fh
+
+    monkeypatch.setattr(Path, "open", open_once)
+    first.save()
+    monkeypatch.undo()
+    racer.join(timeout=10)
+
+    assert not racer.is_alive() and errors == []
+    assert waited == [True]
+    fresh = RunLedger(tmp_path)
+    assert path.read_bytes().endswith(b"\n")
+    assert fresh._mem == {**first._mem, **second._mem}
+    assert len(fresh) == len(lab.ledger) + 5
 
 
 def test_ledger_hits_identical_to_recomputation(tmp_path):

@@ -13,11 +13,11 @@ inconclusive outcome.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
+from dataclasses import asdict, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -56,19 +56,6 @@ EXIT_INVALID = 3
 EXIT_NO_WITNESS = 4
 
 
-def _plain(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _plain(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
 class Emitter:
     def __init__(self):
         self.started = time.monotonic()
@@ -77,11 +64,11 @@ class Emitter:
         envelope = {
             "tool": f"revlab {__version__}",
             "digest": universal_machine().digest,
-            "payload": _plain(payload),
+            "payload": asdict(payload) if is_dataclass(payload) else payload,
             "wall_ms": round(1000 * (time.monotonic() - self.started), 3),
         }
         if budget is not None:
-            envelope["budget"] = _plain(budget)
+            envelope["budget"] = asdict(budget)
         sys.stdout.write(json.dumps(envelope, sort_keys=True) + "\n")
 
 
@@ -228,23 +215,32 @@ def _budget(args) -> Budget:
     return Budget(args.max_len, args.budget)
 
 
-def cmd_depth_k(args, out: Emitter) -> int:
+def _depth_query(args, out: Emitter, query) -> int:
+    """Make the lab, answer ``query(lab, budget)``, save the ledger and
+    emit the record; NoWitness exits 4."""
     lab = _make_lab(args)
-    rec = lab.k_bounded(args.x, _budget(args), args.aux)
+    budget = _budget(args)
+    rec = query(lab, budget)
     lab.ledger.save()
-    out.emit(rec, _budget(args))
+    out.emit(rec, budget)
     return EXIT_NO_WITNESS if isinstance(rec, NoWitness) else EXIT_OK
+
+
+def cmd_depth_k(args, out: Emitter) -> int:
+    return _depth_query(args, out, lambda lab, budget:
+                        lab.k_bounded(args.x, budget, args.aux))
 
 
 def cmd_depth_ld(args, out: Emitter) -> int:
-    lab = _make_lab(args)
-    rec = lab.logical_depth(args.x, args.b, _budget(args), args.variant, args.aux)
-    lab.ledger.save()
-    out.emit(rec, _budget(args))
-    return EXIT_NO_WITNESS if isinstance(rec, NoWitness) else EXIT_OK
+    return _depth_query(args, out, lambda lab, budget: lab.logical_depth(
+        args.x, args.b, budget, args.variant, args.aux))
 
 
 def cmd_depth_table(args, out: Emitter) -> int:
+    if args.kind != "f" and args.variant is not None:
+        print(f"usage error: --variant applies to table f only, not {args.kind}",
+              file=sys.stderr)
+        return EXIT_USAGE
     lab = _make_lab(args)
     budget = _budget(args)
     if args.kind == "psi":
@@ -252,14 +248,15 @@ def cmd_depth_table(args, out: Emitter) -> int:
     elif args.kind == "phi":
         table = lab.phi_table(args.n_max, budget, args.aux)
     else:
-        table = lab.f_table(args.n_max, budget, args.aux, args.variant)
+        table = lab.f_table(args.n_max, budget, args.aux,
+                            args.variant or "reversible")
     lab.ledger.save()
     status = EXIT_OK
     for row in table.rows:
         out.emit({
             "kind": table.kind,
             "variant": table.variant,
-            "row": _plain(row),
+            "row": asdict(row),
         }, budget)
         if row.inconclusive:
             status = EXIT_NO_WITNESS
@@ -295,32 +292,23 @@ def cmd_corpus_export(args, out: Emitter) -> int:
 # --- parser --------------------------------------------------------------------
 
 
-def _add_cache_dir(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cache-dir", default=None,
-                   help="run-ledger directory (or set REVLAB_CACHE)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revlab",
         description="Reversible machine toolkit and logical-depth laboratory")
     sub = parser.add_subparsers(dest="group", required=True)
 
+    running = argparse.ArgumentParser(add_help=False)  # machine run|trace
+    running.add_argument("file")
+    running.add_argument("--input", default="")
+    running.add_argument("--budget", type=int, required=True)
     machine = sub.add_parser("machine", help="validate and run machine files")
     msub = machine.add_subparsers(dest="cmd", required=True)
     v = msub.add_parser("validate")
     v.add_argument("file")
     v.set_defaults(fn=cmd_machine_validate)
-    r = msub.add_parser("run")
-    r.add_argument("file")
-    r.add_argument("--input", default="")
-    r.add_argument("--budget", type=int, required=True)
-    r.set_defaults(fn=cmd_machine_run)
-    t = msub.add_parser("trace")
-    t.add_argument("file")
-    t.add_argument("--input", default="")
-    t.add_argument("--budget", type=int, required=True)
-    t.set_defaults(fn=cmd_machine_trace)
+    msub.add_parser("run", parents=[running]).set_defaults(fn=cmd_machine_run)
+    msub.add_parser("trace", parents=[running]).set_defaults(fn=cmd_machine_trace)
 
     rev = sub.add_parser("rev", help="reversibility operations")
     rsub = rev.add_subparsers(dest="cmd", required=True)
@@ -354,33 +342,27 @@ def build_parser() -> argparse.ArgumentParser:
     uc.add_argument("--aux", default="")
     uc.set_defaults(fn=cmd_univ_check_prefix)
 
+    bounded = argparse.ArgumentParser(add_help=False)  # depth k|ld|table
+    bounded.add_argument("--aux", default="")
+    bounded.add_argument("--max-len", type=int, required=True)
+    bounded.add_argument("--budget", type=int, required=True)
+    bounded.add_argument("--cache-dir", default=None,
+                         help="run-ledger directory (or set REVLAB_CACHE)")
     depth = sub.add_parser("depth", help="budget-bounded complexity and depth")
     dsub = depth.add_subparsers(dest="cmd", required=True)
-    dk = dsub.add_parser("k")
+    dk = dsub.add_parser("k", parents=[bounded])
     dk.add_argument("x")
-    dk.add_argument("--aux", default="")
-    dk.add_argument("--max-len", type=int, required=True)
-    dk.add_argument("--budget", type=int, required=True)
-    _add_cache_dir(dk)
     dk.set_defaults(fn=cmd_depth_k)
-    dl = dsub.add_parser("ld")
+    dl = dsub.add_parser("ld", parents=[bounded])
     dl.add_argument("x")
     dl.add_argument("--b", type=int, required=True)
     dl.add_argument("--variant", choices=("rev", "gen"), required=True)
-    dl.add_argument("--aux", default="")
-    dl.add_argument("--max-len", type=int, required=True)
-    dl.add_argument("--budget", type=int, required=True)
-    _add_cache_dir(dl)
     dl.set_defaults(fn=cmd_depth_ld)
-    dt = dsub.add_parser("table")
+    dt = dsub.add_parser("table", parents=[bounded])
     dt.add_argument("kind", choices=("psi", "phi", "f"))
     dt.add_argument("--n-max", type=int, required=True)
-    dt.add_argument("--variant", choices=("reversible", "general"),
-                    default="reversible")
-    dt.add_argument("--aux", default="")
-    dt.add_argument("--max-len", type=int, required=True)
-    dt.add_argument("--budget", type=int, required=True)
-    _add_cache_dir(dt)
+    dt.add_argument("--variant", choices=("reversible", "general"), default=None,
+                    help="f only (default reversible)")
     dt.set_defaults(fn=cmd_depth_table)
 
     corp = sub.add_parser("corpus", help="bundled machine corpus")

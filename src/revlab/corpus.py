@@ -21,6 +21,7 @@ from .machines import (
     ReadWriteRule,
     Rule,
     ShiftRule,
+    rule_states,
 )
 
 BLANK = "_"
@@ -32,10 +33,13 @@ UNARY = Alphabet.of("1", blank=BLANK)
 class CorpusEntry:
     name: str
     machine: Machine | QuintupleMachine
-    kind: str  # "quadruple" | "quintuple"
     input_alphabet: tuple[str, ...]
     reference: Optional[Callable[[str], str]]  # None: never halts
     note: str
+
+    @property
+    def kind(self) -> str:
+        return "quintuple" if isinstance(self.machine, QuintupleMachine) else "quadruple"
 
     @property
     def halts(self) -> bool:
@@ -44,24 +48,16 @@ class CorpusEntry:
 
 def _quad(name: str, alphabet: Alphabet, start: str, halts: tuple[str, ...],
           rules: list[Rule]) -> Machine:
-    states = {start, *halts}
-    for r in rules:
-        states.add(r.from_state)
-        states.add(r.to_state)
-    return Machine(name, (alphabet,), frozenset(states), start,
-                   frozenset(halts), tuple(rules))
+    states, _ = rule_states(rules, (start, *halts))
+    return Machine(name, (alphabet,), states, start, frozenset(halts), tuple(rules))
 
 
 def _quint(name: str, alphabet: Alphabet, start: str, halts: tuple[str, ...],
            rules: list[tuple[str, str, str, int, str]]) -> QuintupleMachine:
     qrules = tuple(
         QuintupleRule(f, (a,), (b,), (d,), t) for f, a, b, d, t in rules)
-    states = {start, *halts}
-    for r in qrules:
-        states.add(r.from_state)
-        states.add(r.to_state)
-    return QuintupleMachine(name, (alphabet,), frozenset(states), start,
-                            frozenset(halts), qrules)
+    states, _ = rule_states(qrules, (start, *halts))
+    return QuintupleMachine(name, (alphabet,), states, start, frozenset(halts), qrules)
 
 
 def _rw(f: str, a: str, b: str, t: str) -> ReadWriteRule:
@@ -327,51 +323,51 @@ ONE = ("1",)
 def corpus() -> tuple[CorpusEntry, ...]:
     """All bundled machines, in a fixed order."""
     return (
-        CorpusEntry("immediate_halt", _immediate_halt(), "quadruple", BIN,
+        CorpusEntry("immediate_halt", _immediate_halt(), BIN,
                     lambda w: w, "halts at step 0; tape is the output"),
-        CorpusEntry("flipper", _flipper(), "quadruple", BIN,
+        CorpusEntry("flipper", _flipper(), BIN,
                     lambda w: w.translate(_FLIP), "flips every bit"),
-        CorpusEntry("flipper5", _flipper5(), "quintuple", BIN,
+        CorpusEntry("flipper5", _flipper5(), BIN,
                     lambda w: w.translate(_FLIP), "flipper in quintuple form"),
-        CorpusEntry("unary_inc", _unary_inc(), "quadruple", ONE,
+        CorpusEntry("unary_inc", _unary_inc(), ONE,
                     lambda w: w + "1", "appends one mark"),
-        CorpusEntry("unary_inc5", _unary_inc5(), "quintuple", ONE,
+        CorpusEntry("unary_inc5", _unary_inc5(), ONE,
                     lambda w: w + "1", "incrementer in quintuple form"),
-        CorpusEntry("eraser", _eraser(), "quadruple", BIN,
+        CorpusEntry("eraser", _eraser(), BIN,
                     lambda w: "", "blanks the whole input"),
-        CorpusEntry("parity", _parity(), "quadruple", BIN,
+        CorpusEntry("parity", _parity(), BIN,
                     _parity_ref, "emits the parity of the number of ones"),
-        CorpusEntry("parity5", _parity5(), "quintuple", BIN,
+        CorpusEntry("parity5", _parity5(), BIN,
                     _parity_ref, "parity in quintuple form"),
-        CorpusEntry("spinner", _spinner(), "quadruple", BIN,
+        CorpusEntry("spinner", _spinner(), BIN,
                     None, "single self-loop shift; never halts"),
-        CorpusEntry("runner", _runner(), "quadruple", BIN,
+        CorpusEntry("runner", _runner(), BIN,
                     None, "runs right forever"),
-        CorpusEntry("bounce", _bounce(), "quadruple", BIN,
+        CorpusEntry("bounce", _bounce(), BIN,
                     None, "oscillates between cells 1 and 2"),
-        CorpusEntry("nonrev_fixture", _nonreversible_fixture(), "quadruple", BIN,
+        CorpusEntry("nonrev_fixture", _nonreversible_fixture(), BIN,
                     _nonrev_ref, "forward deterministic, fails the reverse check"),
-        CorpusEntry("ones_doubler", _ones_doubler(), "quadruple", ONE,
+        CorpusEntry("ones_doubler", _ones_doubler(), ONE,
                     _doubler_ref, "doubles a block of ones via marked copies"),
-        CorpusEntry("ones_doubler5", _ones_doubler5(), "quintuple", ONE,
+        CorpusEntry("ones_doubler5", _ones_doubler5(), ONE,
                     _doubler_ref, "doubler in quintuple form"),
-        CorpusEntry("const0", _const("const0", "0"), "quadruple", BIN,
+        CorpusEntry("const0", _const("const0", "0"), BIN,
                     lambda w: "0" if w == "" else w, "writes 0 on empty input"),
-        CorpusEntry("const1", _const("const1", "1"), "quadruple", BIN,
+        CorpusEntry("const1", _const("const1", "1"), BIN,
                     lambda w: "1" if w == "" else w, "writes 1 on empty input"),
-        CorpusEntry("identity", _identity(), "quadruple", BIN,
+        CorpusEntry("identity", _identity(), BIN,
                     lambda w: w, "scans its input and halts"),
-        CorpusEntry("head_runner5", _head_runner5(), "quintuple", BIN,
+        CorpusEntry("head_runner5", _head_runner5(), BIN,
                     lambda w: w, "identity in quintuple form"),
-        CorpusEntry("ones_to_zeros5", _ones_to_zeros5(), "quintuple", BIN,
+        CorpusEntry("ones_to_zeros5", _ones_to_zeros5(), BIN,
                     lambda w: "0" * len(w), "rewrites everything to zeros"),
-        CorpusEntry("appender", _appender(), "quadruple", BIN,
+        CorpusEntry("appender", _appender(), BIN,
                     lambda w: w + "0", "appends a zero"),
-        CorpusEntry("toggle_first", _toggle_first(), "quadruple", BIN,
+        CorpusEntry("toggle_first", _toggle_first(), BIN,
                     _toggle_ref, "flips only the first bit"),
-        CorpusEntry("first_symbol", _first_symbol(), "quadruple", BIN,
+        CorpusEntry("first_symbol", _first_symbol(), BIN,
                     lambda w: w[:1], "keeps the first symbol, erases the rest"),
-        CorpusEntry("first_three", _first_three(), "quadruple", BIN,
+        CorpusEntry("first_three", _first_three(), BIN,
                     lambda w: w[:3], "three-bit copier: keeps the first three bits"),
     )
 

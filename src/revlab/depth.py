@@ -177,7 +177,8 @@ class RunLedger:
         line without one that does not match ``_RECORD`` is a save cut
         short by a crash: it is skipped with a warning on stderr.  Any
         other line that does not match raises ValueError naming
-        ``path:line``.
+        ``path:line``.  A directory that cannot hold the file, such as a
+        path through a regular file, raises OSError here, before any run.
         """
         self.digest = universal_machine().digest
         self._mem: dict[tuple[str, str, int], PrefixRunResult] = {}
@@ -188,9 +189,10 @@ class RunLedger:
             self._load()
 
     def _load(self) -> None:
-        if self.path is None or not self.path.exists():
+        try:
+            lines = self.path.read_bytes().split(b"\n")
+        except FileNotFoundError:  # no ledger yet; a path under a file raises
             return
-        lines = self.path.read_bytes().split(b"\n")
         for n, line in enumerate(lines, 1):
             m = _RECORD.fullmatch(line)
             if m is not None:
@@ -447,7 +449,9 @@ class DepthLab:
         Reversible: the least reversible-interpreter step count over
         programs p with pair output (p, x) and |p| <= k_upper(x) + b.
         General: the least step count over the b-incompressible
-        producers (see :meth:`incompressible_programs`).
+        producers (see :meth:`incompressible_programs`).  Either way the
+        witness at b is the (steps, length, lexicographic) least program
+        eligible at b.
         """
         reversible = variant in ("reversible", "rev")
         if not reversible and variant not in ("general", "gen"):
@@ -457,31 +461,25 @@ class DepthLab:
         producers = self._producers(x, budget, aux)
         if not producers:
             return [self._k_record(x, budget, aux, producers)] * len(levels)
-        out: list[DepthRecord | NoWitness] = []
         if reversible:
             kx = self._k_record(x, budget, aux, producers)
             runs = _reversible_runs(producers, budget)
-            for b in levels:
-                threshold = kx.k_upper + b
-                candidates = [p for p in runs if len(p) <= threshold]
-                if not candidates:
-                    out.append(NoWitness(
-                        x, aux, budget,
-                        "no reversible run within budget at this level"))
-                    continue
-                best = min(candidates, key=lambda p: (runs[p].steps, len(p), p))
-                exhaustive = kx.exhaustive and threshold <= budget.max_len
-                out.append(DepthRecord(x, b, runs[best].steps, best, "reversible",
-                                       budget, exhaustive, self.digest))
-            return out
-        nested, exhaustive = self._nested(producers, budget)
-        for b in levels:
-            kept = _kept(nested, b)
-            if not kept:
-                out.append(NoWitness(x, aux, budget, "no incompressible producer"))
+            eligible = [([p for p in runs if len(p) <= kx.k_upper + b],
+                         kx.exhaustive and kx.k_upper + b <= budget.max_len)
+                        for b in levels]
+            name, missing = "reversible", "no reversible run within budget at this level"
+        else:
+            runs = producers
+            nested, exhaustive = self._nested(producers, budget)
+            eligible = [(_kept(nested, b), exhaustive) for b in levels]
+            name, missing = "general", "no incompressible producer"
+        out: list[DepthRecord | NoWitness] = []
+        for b, (candidates, exhaustive) in zip(levels, eligible):
+            if not candidates:
+                out.append(NoWitness(x, aux, budget, missing))
                 continue
-            best = min(kept, key=lambda p: (producers[p].steps, len(p), p))
-            out.append(DepthRecord(x, b, producers[best].steps, best, "general",
+            best = min(candidates, key=lambda p: (runs[p].steps, len(p), p))
+            out.append(DepthRecord(x, b, runs[best].steps, best, name,
                                    budget, exhaustive, self.digest))
         return out
 

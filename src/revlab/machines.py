@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 class MachineError(Exception):
@@ -145,6 +145,21 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors and not self.conflicts
+
+    @property
+    def problems(self) -> str:
+        """Why the machine is invalid, in one line: its structural errors,
+        or else its conflicts."""
+        return "; ".join(self.errors or [c.reason for c in self.conflicts])
+
+
+def rule_states(rules, named: Iterable[str] = ()
+                ) -> tuple[frozenset[str], frozenset[str]]:
+    """The states in ``named`` or on either side of a rule in ``rules``,
+    and those of them that no rule leaves."""
+    sources = {r.from_state for r in rules}
+    states = frozenset({*named, *sources, *(r.to_state for r in rules)})
+    return states, states - sources
 
 
 def _structural_errors(m: Machine) -> list[str]:

@@ -59,6 +59,7 @@ from .machines import (  # the outcome names are re-exported
     blank_free_prefix,
     domain_conflicts,
     execute,
+    rule_states,
 )
 from .reversal import LINEAR_A, LINEAR_B, LINEAR_C, linear_bound
 
@@ -127,13 +128,8 @@ PROG_SYMS = ("0", "1")
 def _prefix_machine(name: str, work_extra: Iterable[str], rules: list[Rule],
                     start: str, states: Iterable[str]) -> Machine:
     work = Alphabet(frozenset({"0", "1", BIT_BLANK, *work_extra}), BIT_BLANK)
-    all_states = set(states)
-    for r in rules:
-        all_states.add(r.from_state)
-        all_states.add(r.to_state)
-    halt = frozenset(s for s in all_states
-                     if not any(r.from_state == s for r in rules))
-    return Machine(name, (BITS, BITS, work, BITS), frozenset(all_states),
+    all_states, halt = rule_states(rules, states)
+    return Machine(name, (BITS, BITS, work, BITS), all_states,
                    start, halt, tuple(rules), output_tape=4)
 
 
@@ -390,10 +386,9 @@ def _parse_general(body: str) -> Machine | None:
         return None
 
     work_alpha = Alphabet(frozenset(_work_symbols(extra)), BIT_BLANK)
-    halt = frozenset(s for s in states
-                     if not any(rule.from_state == s for rule in rules))
+    all_states, halt = rule_states(rules, states)
     m = Machine(f"t_{_GENERAL_PREFIX}{body}"[:40], (BITS, BITS, work_alpha, BITS),
-                frozenset(states), "s0", halt, tuple(rules), output_tape=4)
+                all_states, "s0", halt, tuple(rules), output_tape=4)
     if domain_conflicts(m.rules):
         return None
     return m

@@ -54,6 +54,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .machfmt import serialize_machine
 from .machines import (
@@ -68,6 +69,7 @@ from .machines import (
     RunResult,
     ShiftRule,
     range_conflicts,
+    rule_states,
     run_from,
     validate_machine,
 )
@@ -111,19 +113,22 @@ def verify_reversible(m: Machine) -> ReversibilityReport:
     an invalid machine raises on every call."""
     report = validate_machine(m)
     if not report.ok:
-        raise MachineError(
-            f"machine {m.name!r} invalid: "
-            + "; ".join(report.errors or
-                        [c.reason for c in report.conflicts]))
+        raise MachineError(f"machine {m.name!r} invalid: {report.problems}")
     return ReversibilityReport(m.name, tuple(range_conflicts(m.rules)))
 
 
-def invert_rule(rule: Rule) -> Rule:
+def _same(state: str) -> str:
+    return state
+
+
+def invert_rule(rule: Rule, rename: Callable[[str], str] = _same) -> Rule:
+    """The rule undoing ``rule``, between its states renamed by ``rename``."""
     if isinstance(rule, ShiftRule):
-        return ShiftRule(rule.to_state,
+        return ShiftRule(rename(rule.to_state),
                          tuple(-d for d in rule.moves),
-                         rule.from_state)
-    return ReadWriteRule(rule.to_state, rule.writes, rule.reads, rule.from_state)
+                         rename(rule.from_state))
+    return ReadWriteRule(rename(rule.to_state), rule.writes, rule.reads,
+                         rename(rule.from_state))
 
 
 @lru_cache(maxsize=256)
@@ -183,9 +188,7 @@ def bennett_transform(m: Machine) -> BennettMachine:
         raise TransformRefusal(f"need a 1-tape machine, got {m.tape_count} tapes")
     report = validate_machine(m)
     if not report.ok:
-        raise TransformRefusal(
-            "source machine invalid: "
-            + "; ".join(report.errors or [c.reason for c in report.conflicts]))
+        raise TransformRefusal(f"source machine invalid: {report.problems}")
 
     alphabet = m.alphabets[0]
     blank = alphabet.blank
@@ -393,20 +396,11 @@ def bennett_transform(m: Machine) -> BennettMachine:
                                      (s, HB, blank), prime(p0)))
 
     # --- stage 3: retrace (inverted forward rules on primed states) -------
-    retrace: list[Rule] = []
-    for r in forward:
-        if isinstance(r, ReadWriteRule):
-            retrace.append(ReadWriteRule(
-                prime(r.to_state), r.writes, r.reads, prime(r.from_state)))
-        else:
-            retrace.append(ShiftRule(
-                prime(r.to_state), tuple(-d for d in r.moves),
-                prime(r.from_state)))
+    retrace = [invert_rule(r, prime) for r in forward]
 
     all_rules = tuple(forward + copy_rules + retrace)
-    states = {r.from_state for r in all_rules} | {r.to_state for r in all_rules}
     start = C(m.start_state)
-    states.add(start)
+    states, _ = rule_states(all_rules, (start,))
 
     compute_states = frozenset(
         s for s in states
@@ -419,7 +413,7 @@ def bennett_transform(m: Machine) -> BennettMachine:
     machine = Machine(
         name=f"{m.name}_rev",
         alphabets=(work_alpha, hist_alpha, out_alpha),
-        states=frozenset(states),
+        states=states,
         start_state=start,
         halt_states=frozenset(),
         rules=all_rules,

@@ -450,3 +450,131 @@ def test_witness_replays_through_cli(capsys):
     assert replay["steps"] == record["ld"]
     assert replay["output"] == record["x"]
     assert replay["pair"] == [record["witness"], record["x"]]
+
+
+# One fixed command per subcommand, measured before the CLI's parser and
+# payload encoding were rewritten: its exit code and the sha256 of its
+# stdout lines with ``wall_ms`` dropped.  ``{name}`` is a file the test
+# writes: a corpus machine, flipper's emulator, or that emulator's final
+# configuration on input 10.
+PINNED_COMMANDS = [
+    ("machine validate {parity}", EXIT_OK,
+     "b30d663c01a3a9e6a04d4ca7fea4d6082bc5e3b95bf7bbbc02c2eb204f974158"),
+    ("machine run {parity} --input 1011 --budget 1000", EXIT_OK,
+     "918bacfdc3043cc8dfd7c925e97350c510da2b98174145c8a18a1d7cf1bec51b"),
+    ("machine trace {flipper} --input 10 --budget 100", EXIT_OK,
+     "88efbbeb2bc5f8e43cc6fe1da976167dfa5d14fe3b5c731aaa89937dcdaed72a"),
+    ("rev verify {flipper}", EXIT_INVALID,
+     "7995e1316dbb4fc73af6cd042aad9538b8c277f24880a87dbc447df6fa585eaa"),
+    ("rev compile {parity5}", EXIT_OK,
+     "bf02fdca9812af79cf106f19f94330c65a0be18143d51b8ce5c8749f6e0e767f"),
+    ("rev reverse {flipper_rev} --from {final} --budget 10000", EXIT_OK,
+     "c3163a0fab8fab401d05f7a35f4d610b8ac391edc98ef1f7b697538d4f3c992f"),
+    ("univ run --bits 0001 --budget 100", EXIT_OK,
+     "bb1eadff475c295f54e12c6b890ddf633404edaf620648ecaa7b47f74a5112a8"),
+    ("univ run --bits 00110101 --budget 100000 --reversible", EXIT_OK,
+     "ade1f7a50f8ddff674b381e9b848d774c2fb0b6c9214fe699bd0e2bcca38a3c3"),
+    ("univ run --bits 0x35 --aux 1011 --budget 1000", EXIT_OK,
+     "6eef42381ccb33f843e12f2a03af08c85fc1f69fdb06aee45012478af3340684"),
+    ("univ enumerate --index 2", EXIT_OK,
+     "70128883185b003629aafdd90273e2375fabc174fb36c2921925f87bf6804fd0"),
+    ("univ check-prefix --max-len 8 --budget 2000", EXIT_OK,
+     "61fb79e6cc758cbed95fe8b800560b80ddae2e182d91c2a2312702931c3d113b"),
+    ("depth k 000 --max-len 10 --budget 5000", EXIT_OK,
+     "2a781e7b305aba3aa7e3137e9fd48cfd0fddf17c3283b11ba659b5ec6ceda503"),
+    ("depth ld 000 --b 0 --variant rev --max-len 10 --budget 5000", EXIT_OK,
+     "2cae00409ff6964e44905df029e86a826a7d99cae260a13bab5d788bcbfba65b"),
+    ("depth ld 101 --b 1 --variant gen --aux 1011 --max-len 10 --budget 5000", EXIT_OK,
+     "b64ac2946b79097e419f322b82639fa2bf7b0d910cde50a1eb476eeabeedd897"),
+    ("depth ld 1 --b 0 --variant gen --max-len 4 --budget 3", EXIT_NO_WITNESS,
+     "2676c13967d606637ec930f0c693e905ae1a73f67423e6836853b6459855235d"),
+    ("depth table psi --n-max 3 --max-len 10 --budget 5000", EXIT_OK,
+     "64d9f27f9b8bc1120bedaa2db886b239f7aade7ff8f47c24d14b69eca9cd57a9"),
+    ("depth table f --n-max 3 --max-len 12 --budget 5000", EXIT_OK,
+     "efbe05f5b6463a6ea70864aba035de8b3c8186c3af8302faa71ac2dbf9ab7441"),
+    ("depth table f --n-max 3 --variant general --max-len 12 --budget 5000", EXIT_OK,
+     "5b04a4622af240f9da85bfabc1551d1804f4577a858761e51438fb615324f75e"),
+    ("corpus list", EXIT_OK,
+     "a3b7c12dca7113d4c064988c5268b3cf7836db33c684e23a02e2196073a3385c"),
+]
+
+
+def stdout_digest(text):
+    """sha256 of stdout's envelopes with ``wall_ms`` dropped."""
+    envs = [json.loads(line) for line in text.splitlines()]
+    for env in envs:
+        del env["wall_ms"]
+    return hashlib.sha256("".join(json.dumps(env, sort_keys=True) + "\n"
+                                  for env in envs).encode()).hexdigest()
+
+
+def pinned_files(directory):
+    """The files PINNED_COMMANDS name, written under ``directory``."""
+    from revlab.machfmt import serialize_configuration
+    from revlab.machines import run
+    from revlab.reversal import bennett_transform
+
+    files = {}
+    for name in ("flipper", "parity", "parity5"):
+        files[name] = directory / f"{name}.tm"
+        files[name].write_text(serialize_machine(corpus_entry(name).machine))
+    bm = bennett_transform(corpus_entry("flipper").machine)
+    files["flipper_rev"] = directory / "flipper_rev.tm"
+    files["flipper_rev"].write_text(serialize_machine(bm.machine))
+    files["final"] = directory / "final.cfg"
+    files["final"].write_text(serialize_configuration(run(bm.machine, "10", 10_000).final))
+    return files
+
+
+@pytest.mark.parametrize("command, want_rc, want_sha", PINNED_COMMANDS,
+                         ids=[c for c, _, _ in PINNED_COMMANDS])
+def test_cli_payloads_are_pinned(capsys, tmp_path, monkeypatch, command, want_rc,
+                                 want_sha):
+    # Any change to a payload, its key order or its envelope changes the
+    # digest of some command's output.
+    monkeypatch.delenv("REVLAB_CACHE", raising=False)
+    files = pinned_files(tmp_path)
+    rc = main(command.format(**files).split())
+    assert (rc, stdout_digest(capsys.readouterr().out)) == (want_rc, want_sha)
+
+
+@pytest.fixture()
+def no_runs(monkeypatch):
+    """Fail the test if anything runs a program."""
+    from revlab import depth
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a program")
+
+    monkeypatch.setattr(depth, "resume_run", no_run)
+    monkeypatch.setattr(depth, "universal_run", no_run)
+
+
+@pytest.mark.parametrize("kind, variant", [
+    ("psi", "general"), ("psi", "reversible"),
+    ("phi", "reversible"), ("phi", "general"),
+])
+def test_variant_applies_to_table_f_only(capsys, tmp_path, no_runs, kind, variant):
+    # psi is reversible and phi general by definition: a --variant beside
+    # them would be ignored, so it is a usage error, raised before any run.
+    rc = main(["depth", "table", kind, "--n-max", "2", "--variant", variant,
+               "--max-len", "8", "--budget", "1000", "--cache-dir", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--variant" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "file-sub"])
+def test_unusable_cache_dir_fails_before_any_run(capsys, tmp_path, no_runs, under):
+    plain = tmp_path / "plain"
+    plain.write_text("not a directory\n")
+    rc = main(["depth", "k", "0", "--max-len", "30", "--budget", "100000",
+               "--cache-dir", str(plain / under)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("file error: ")
+    assert plain.read_text() == "not a directory\n"

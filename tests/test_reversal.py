@@ -1,10 +1,12 @@
 """Reverse checking, inversion, and the Bennett transform."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
 from revlab.corpus import BINARY, corpus, corpus_entry, inputs_up_to
+from revlab.machfmt import serialize_machine
 from revlab.machines import (
     HALTED,
     Machine,
@@ -185,6 +187,19 @@ def test_transform_is_reversible_and_valid_for_all_corpus_machines():
         bm = bennett_transform(m)
         assert validate_machine(bm.machine).ok, entry.name
         assert verify_reversible(bm.machine).reversible, entry.name
+
+
+def test_corpus_emulators_are_pinned():
+    # Every emulator's rules, states and alphabets, in corpus order: any
+    # change to the construction or to its state names changes the hash.
+    digest = hashlib.sha256()
+    for entry in corpus():
+        m = entry.machine
+        if isinstance(m, QuintupleMachine):
+            m = normalize_to_quadruples(m)
+        digest.update(serialize_machine(bennett_transform(m).machine).encode())
+    assert digest.hexdigest() == (
+        "f97979da4c4a65b396340ffb97dc4ebf008515e9ef9495ecc1f026b50f7d5d1b")
 
 
 def test_transform_pair_output_on_corpus():

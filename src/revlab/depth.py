@@ -28,16 +28,10 @@ D steps never halts.  The machinery:
     the print bound whenever the step budget allows the print run at
     all.
 
-Candidate sets respect exact consumption: a bit string counts as a
-program for x only when the run halts having scanned precisely that
-string.  Tie-breaks are (steps, length, lexicographic) everywhere, so
-results are independent of enumeration order.
-
-The general-variant depth uses permissive incompressibility: a producer
-p qualifies at significance b when |p| <= k_upper(p) + b with k_upper
-from this same budget, which can only admit extra programs (k_upper
-bounds the true complexity from above) and therefore biases depth
-downward; records carry flags for nested non-exhaustive results.
+A bit string is a program for x only when its run halts having scanned
+precisely that string.  Every value is a read of x's (length, steps)
+staircases over its programs: docs/depth.md defines each value, its
+flags and the one tie-break, (steps, length, lexicographic).
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .prefixvm import (
     BUDGET_EXCEEDED,
@@ -299,14 +293,23 @@ def _exact(bits: str, r: PrefixRunResult) -> bool:
     return r.outcome == HALTED and r.program == bits
 
 
+class _Staircases(NamedTuple):
+    """x's producers in (length, lexicographic) order, and their forward
+    and reversible staircases (:func:`_staircase`)."""
+    producers: dict[str, PrefixRunResult]
+    forward: tuple[tuple[int, int, str], ...]
+    reversible: tuple[tuple[int, int, str], ...]
+
+
 @dataclass
 class DepthLab:
     """Shared sweep state for all depth-lab operations.
 
-    ``_sweeps`` holds one entry per (budget, aux): the sweep table and
-    its exact halters grouped by output.  Every query reads that entry
-    and runs nothing but literal-printer seeds through the ledger, the
-    only source of printer programs.
+    ``_sweeps`` holds one entry per (budget, aux): the sweep table, its
+    exact halters grouped by output and the staircases of each string
+    queried.  Every query reads that entry and runs nothing but
+    literal-printer seeds through the ledger, the only source of printer
+    programs.
     """
 
     ledger: RunLedger = field(default_factory=RunLedger)
@@ -359,7 +362,7 @@ class DepthLab:
             for bits, r in table.items():
                 if _exact(bits, r):
                     by_output.setdefault(r.output, {})[bits] = r
-            self._sweeps[budget, aux] = table, by_output
+            self._sweeps[budget, aux] = table, by_output, {}
         return self._sweeps[budget, aux][0]
 
     def exact_halters(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
@@ -368,15 +371,13 @@ class DepthLab:
         return {bits: r for bits, r in self.sweep(budget, aux).items()
                 if _exact(bits, r)}
 
-    # -- producers ----------------------------------------------------------
+    # -- producers and their staircases ---------------------------------------
 
     def _producers(self, x: str, budget: Budget, aux: str) -> dict[str, PrefixRunResult]:
-        """Programs whose run halts with output x: the sweep's exact
-        halters for x, and the literal printer's one program for x, which
-        the sweep never holds, run through the ledger at any length.  x
-        and aux are checked before anything runs."""
-        check_binary(x)
-        self.sweep(budget, aux)
+        """Programs whose run halts with output x: the (budget, aux)
+        sweep's exact halters for x, and the literal printer's one program
+        for x, which the sweep never holds, run through the ledger at any
+        length.  The caller has built the sweep."""
         out = dict(self._sweeps[budget, aux][1].get(x, {}))
         seed = print_program(x)
         r = self.ledger.run(seed, aux, budget.max_steps)
@@ -384,47 +385,52 @@ class DepthLab:
             out[seed] = r
         return out
 
-    # -- complexity -----------------------------------------------------------
+    def _staircases(self, x: str, budget: Budget, aux: str) -> _Staircases:
+        """x's staircases, built from one ``_producers`` call per (x,
+        budget, aux) and kept in the sweep entry.  x and aux are checked
+        before anything runs."""
+        check_binary(x)
+        self.sweep(budget, aux)
+        known = self._sweeps[budget, aux][2]
+        if x not in known:
+            producers = dict(sorted(self._producers(x, budget, aux).items(),
+                                    key=lambda item: (len(item[0]), item[0])))
+            known[x] = _Staircases(producers, _staircase(producers), _staircase(
+                {p: reversible_view(r, budget.max_steps) for p, r in producers.items()}))
+        return known[x]
 
-    def _k_record(self, x: str, budget: Budget, aux: str,
-                  producers: dict[str, PrefixRunResult]) -> ComplexityRecord | NoWitness:
-        """k(x) from the producers of x; NoWitness when there are none."""
-        if not producers:
-            return NoWitness(x, aux, budget, "no producing program within budget")
-        k_upper = min(len(p) for p in producers)
-        witnesses = tuple(sorted(p for p in producers if len(p) == k_upper))
-        exhaustive = k_upper - 1 <= budget.max_len
-        return ComplexityRecord(x, aux, k_upper, witnesses, budget,
-                                exhaustive, self.digest)
+    # -- complexity -----------------------------------------------------------
 
     def k_bounded(self, x: str, budget: Budget,
                   aux: str = "") -> ComplexityRecord | NoWitness:
-        return self._k_record(x, budget, aux, self._producers(x, budget, aux))
+        """k(x): the length of the first point of x's forward staircase,
+        witnessed by every producer of that length."""
+        s = self._staircases(x, budget, aux)
+        if not s.forward:
+            return NoWitness(x, aux, budget, "no producing program within budget")
+        k = s.forward[0][0]
+        return ComplexityRecord(x, aux, k, tuple(p for p in s.producers if len(p) == k),
+                                budget, k - 1 <= budget.max_len, self.digest)
 
     def shortest_programs(self, x: str, budget: Budget,
                           aux: str = "") -> tuple[str, ...] | NoWitness:
         rec = self.k_bounded(x, budget, aux)
-        if isinstance(rec, NoWitness):
-            return rec
-        return rec.witnesses
+        return rec if isinstance(rec, NoWitness) else rec.witnesses
 
-    def _nested(self, producers: dict[str, PrefixRunResult],
-                budget: Budget) -> tuple[list[tuple[str, Optional[int]]], bool]:
-        """Producers in (length, lexicographic) order, each with its nested
-        k_upper (same budget, empty aux; None for a NoWitness), and whether
-        every nested record is exhaustive."""
-        nested = []
-        exhaustive = True
-        for p in sorted(producers, key=lambda q: (len(q), q)):
-            rec = self.k_bounded(p, budget, aux="")
-            known = not isinstance(rec, NoWitness)
-            exhaustive = exhaustive and known and rec.exhaustive
-            nested.append((p, rec.k_upper if known else None))
-        return nested, exhaustive
+    def _excess(self, s: _Staircases, budget: Budget) -> tuple[dict[str, int], bool]:
+        """Each producer p of ``s`` with its excess |p| - k_upper(p), so
+        that p is b-incompressible at every b >= excess, and whether every
+        k_upper(p) is exhaustive.  k_upper(p) is read off p's own forward
+        staircase (same budget, empty aux); a p without one is admitted at
+        every b (permissive direction), as an excess of 0."""
+        nested = {p: self._staircases(p, budget, "").forward for p in s.producers}
+        return ({p: len(p) - fwd[0][0] if fwd else 0 for p, fwd in nested.items()},
+                all(fwd and fwd[0][0] - 1 <= budget.max_len for fwd in nested.values()))
 
     def incompressible_programs(self, x: str, b: int, budget: Budget,
                                 aux: str = "") -> IncompressibleSet | NoWitness:
-        """Producers p of x with |p| <= k_upper(p) + b.
+        """Producers p of x with |p| <= k_upper(p) + b, in (length,
+        lexicographic) order.
 
         Nested complexities use the same budget and empty auxiliary; a
         nested NoWitness admits the program (permissive direction) and
@@ -432,56 +438,41 @@ class DepthLab:
         """
         if b < 0:
             raise ValueError("significance level must be >= 0")
-        producers = self._producers(x, budget, aux)
-        if not producers:
-            return self._k_record(x, budget, aux, producers)
-        nested, exhaustive = self._nested(producers, budget)
-        return IncompressibleSet(x, b, aux, _kept(nested, b), exhaustive, budget)
+        s = self._staircases(x, budget, aux)
+        if not s.producers:
+            return self.k_bounded(x, budget, aux)
+        excess, exhaustive = self._excess(s, budget)
+        return IncompressibleSet(x, b, aux, tuple(p for p in excess if excess[p] <= b),
+                                 exhaustive, budget)
 
     # -- logical depth -----------------------------------------------------------
 
     def _depths(self, x: str, levels, budget: Budget, variant: str,
                 aux: str) -> list[DepthRecord | NoWitness]:
-        """ld_b(x) for every b in ``levels``.  The work that does not
-        depend on b is done once: the producers of x, k(x) and their
-        reversible runs, or each producer's nested complexity.
-
-        Reversible: the least reversible-interpreter step count over
-        programs p with pair output (p, x) and |p| <= k_upper(x) + b.
-        General: the least step count over the b-incompressible
-        producers (see :meth:`incompressible_programs`).  Either way the
-        witness at b is the (steps, length, lexicographic) least program
-        eligible at b.
-        """
-        reversible = variant in ("reversible", "rev")
-        if not reversible and variant not in ("general", "gen"):
-            raise ValueError(f"unknown variant {variant!r}")
+        """ld_b(x) for every b in ``levels``, for a variant named as
+        records name it: the last point of the staircase of the programs
+        eligible at b.  Reversible: x's reversible staircase up to length
+        k(x) + b.  General: the forward staircase of x's b-incompressible
+        producers (see :meth:`incompressible_programs`), whose nested k
+        are read once for all levels."""
         if min(levels) < 0:
             raise ValueError("significance level must be >= 0")
-        producers = self._producers(x, budget, aux)
-        if not producers:
-            return [self._k_record(x, budget, aux, producers)] * len(levels)
-        if reversible:
-            kx = self._k_record(x, budget, aux, producers)
-            runs = _reversible_runs(producers, budget)
-            eligible = [([p for p in runs if len(p) <= kx.k_upper + b],
-                         kx.exhaustive and kx.k_upper + b <= budget.max_len)
-                        for b in levels]
-            name, missing = "reversible", "no reversible run within budget at this level"
+        s = self._staircases(x, budget, aux)
+        if not s.producers:
+            return [self.k_bounded(x, budget, aux)] * len(levels)
+        if variant == "reversible":
+            k = s.forward[0][0]
+            eligible = [([pt for pt in s.reversible if pt[0] <= k + b],
+                         k + b <= budget.max_len) for b in levels]
+            missing = "no reversible run within budget at this level"
         else:
-            runs = producers
-            nested, exhaustive = self._nested(producers, budget)
-            eligible = [(_kept(nested, b), exhaustive) for b in levels]
-            name, missing = "general", "no incompressible producer"
-        out: list[DepthRecord | NoWitness] = []
-        for b, (candidates, exhaustive) in zip(levels, eligible):
-            if not candidates:
-                out.append(NoWitness(x, aux, budget, missing))
-                continue
-            best = min(candidates, key=lambda p: (runs[p].steps, len(p), p))
-            out.append(DepthRecord(x, b, runs[best].steps, best, name,
-                                   budget, exhaustive, self.digest))
-        return out
+            excess, exhaustive = self._excess(s, budget)
+            eligible = [(_staircase({p: r for p, r in s.producers.items() if excess[p] <= b}),
+                         exhaustive) for b in levels]
+            missing = "no incompressible producer"
+        return [DepthRecord(x, b, points[-1][1], points[-1][2], variant, budget, flag,
+                            self.digest) if points else NoWitness(x, aux, budget, missing)
+                for b, (points, flag) in zip(levels, eligible)]
 
     def logical_depth_general(self, x: str, b: int, budget: Budget,
                               aux: str = "") -> DepthRecord | NoWitness:
@@ -493,7 +484,7 @@ class DepthLab:
 
     def logical_depth(self, x: str, b: int, budget: Budget, variant: str,
                       aux: str = "") -> DepthRecord | NoWitness:
-        return self._depths(x, [b], budget, variant, aux)[0]
+        return self._depths(x, [b], budget, _variant(variant), aux)[0]
 
     # -- growth tables -------------------------------------------------------------
 
@@ -521,22 +512,23 @@ class DepthLab:
         return GrowthTable(kind, variant, tuple(rows), budget, self.digest)
 
     def psi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
-        """Worst-case over length-n strings of the shortest program's
-        reversible running time."""
-        return self._growth_table(
-            "psi", "reversible", n_max, budget,
-            lambda x: _shortest(_reversible_runs(self._producers(x, budget, aux),
-                                                 budget)))
+        """Worst case over length-n strings of the shortest running time
+        of a shortest program on the reversible interpreter: the first
+        point of x's reversible staircase."""
+        return self._growth_table("psi", "reversible", n_max, budget, lambda x: _first(
+            self._staircases(x, budget, aux).reversible))
 
     def phi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
-        return self._growth_table(
-            "phi", "general", n_max, budget,
-            lambda x: _shortest(self._producers(x, budget, aux)))
+        """psi over forward steps: the first point of x's forward staircase."""
+        return self._growth_table("phi", "general", n_max, budget, lambda x: _first(
+            self._staircases(x, budget, aux).forward))
 
     def f_table(self, n_max: int, budget: Budget, aux: str = "",
                 variant: str = "reversible") -> GrowthTable:
         """Largest one-level drop of depth: max over |x| = n, 0 <= b <= n
         of ld_b(x) - ld_(b+1)(x), ties going to the first b."""
+        variant = _variant(variant)
+
         def drop(x: str) -> tuple[int, str, int] | None:
             lds = self._depths(x, range(len(x) + 2), budget, variant, aux)
             if any(isinstance(rec, NoWitness) for rec in lds):
@@ -546,23 +538,34 @@ class DepthLab:
         return self._growth_table("f", variant, n_max, budget, drop)
 
 
-def _reversible_runs(producers: dict[str, PrefixRunResult],
-                     budget: Budget) -> dict[str, PrefixRunResult]:
-    """Producers whose reversible run halts within D, mapped to that run;
-    its pair is (p, x) because every producer is exact."""
-    runs = {p: reversible_view(r, budget.max_steps) for p, r in producers.items()}
-    return {p: r for p, r in runs.items() if r.outcome == HALTED}
+def _variant(name: str) -> str:
+    """The name records and tables carry for a depth variant's long or
+    short name."""
+    full = {"rev": "reversible", "gen": "general"}.get(name, name)
+    if full not in ("reversible", "general"):
+        raise ValueError(f"unknown variant {name!r}")
+    return full
 
 
-def _kept(nested: list[tuple[str, Optional[int]]], b: int) -> tuple[str, ...]:
-    """The b-incompressible producers of a :meth:`DepthLab._nested` list."""
-    return tuple(p for p, k in nested if k is None or len(p) <= k + b)
+def _staircase(runs: dict[str, PrefixRunResult]) -> tuple[tuple[int, int, str], ...]:
+    """The (length, steps, program) points of the halting runs among
+    ``runs``, keyed in (length, lexicographic) order.  Length rises and
+    steps strictly fall along it: a run takes a point when it is faster
+    than every earlier one, replacing the point of its own length, so each
+    point is the (steps, length, lexicographic) least run up to its
+    length."""
+    points: list[tuple[int, int, str]] = []
+    for p, r in runs.items():
+        if r.outcome == HALTED and (not points or r.steps < points[-1][1]):
+            if points and points[-1][0] == len(p):
+                points.pop()
+            points.append((len(p), r.steps, p))
+    return tuple(points)
 
 
-def _shortest(runs: dict[str, PrefixRunResult]) -> tuple[int, str, None] | None:
-    """Steps and program of the canonical shortest run, or None if there is none."""
-    star = min(runs, key=lambda p: (len(p), p), default=None)
-    return None if star is None else (runs[star].steps, star, None)
+def _first(points) -> tuple[int, str, None] | None:
+    """A growth row's (value, program, b): a staircase's first point."""
+    return (points[0][1], points[0][2], None) if points else None
 
 
 def _binary_strings(n: int) -> list[str]:

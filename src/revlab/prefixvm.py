@@ -650,10 +650,6 @@ def print_program(x: str) -> str:
     return encode_index(PRINT_INDEX) + "".join(c + c for c in x) + "01"
 
 
-def halt_program() -> str:
-    return encode_index(HALT_INDEX)
-
-
 # ---------------------------------------------------------------------------
 # Prefix-freeness check
 

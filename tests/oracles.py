@@ -24,6 +24,7 @@ from revlab.machines import (
 from revlab.prefixvm import universal_reversible_run, universal_run
 
 _tables: dict = {}
+_exact_by_output: dict = {}
 
 
 def bit_strings(max_len: int):
@@ -51,10 +52,14 @@ def run_table(max_len: int, max_steps: int, aux: str = "") -> dict:
 
 
 def producers(x: str, max_len: int, max_steps: int, aux: str = "") -> dict:
-    out = {}
-    for bits, r in run_table(max_len, max_steps, aux).items():
-        if r.outcome == "halted" and r.program == bits and r.output == x:
-            out[bits] = r
+    key = (max_len, max_steps, aux)
+    if key not in _exact_by_output:  # the table's exact halters by output
+        index: dict = {}
+        for bits, r in run_table(max_len, max_steps, aux).items():
+            if r.outcome == "halted" and r.program == bits:
+                index.setdefault(r.output, {})[bits] = r
+        _exact_by_output[key] = index
+    out = dict(_exact_by_output[key].get(x, {}))
     seed = literal_print(x)
     if seed not in out:
         r = universal_run(seed, aux, max_steps)
@@ -107,6 +112,66 @@ def naive_ld_reversible(x: str, b: int, max_len: int, max_steps: int,
     if best is None:
         return None
     return best[0], best[2]
+
+
+def naive_psi(x: str, max_len: int, max_steps: int, aux: str = ""):
+    """(steps, witness): among the producers whose reversible run halts
+    with pair (p, x), the shortest, then the fewest steps, then the
+    lexicographically first."""
+    found = []
+    for p in producers(x, max_len, max_steps, aux):
+        r = universal_reversible_run(p, aux, max_steps)
+        if r.outcome == "halted" and r.pair == (p, x):
+            found.append((len(p), r.steps, p))
+    return min(found)[1:] if found else None
+
+
+def naive_phi(x: str, max_len: int, max_steps: int, aux: str = ""):
+    """(steps, witness): the shortest producer, then the fewest forward
+    steps, then the lexicographically first."""
+    found = [(len(p), r.steps, p)
+             for p, r in producers(x, max_len, max_steps, aux).items()]
+    return min(found)[1:] if found else None
+
+
+def naive_growth_rows(kind: str, variant: str, n_max: int, max_len: int,
+                      max_steps: int, aux: str = "") -> list:
+    """Rows (n, value, witness x, witness program, witness b,
+    inconclusive) of psi, phi or f.  psi and phi take their value from
+    naive_psi and naive_phi.  f takes the largest ld_b(x) - ld_(b+1)(x)
+    over 0 <= b <= |x|, the first b winning a tie.  Row n is the largest
+    value over |x| = n, the first x winning a tie; the first x without a
+    value makes the row inconclusive."""
+    naive_ld = naive_ld_reversible if variant == "reversible" else naive_ld_general
+
+    def value(x):
+        if kind != "f":
+            got = (naive_psi if kind == "psi" else naive_phi)(x, max_len, max_steps, aux)
+            return None if got is None else (got[0], got[1], None)
+        lds = [naive_ld(x, b, max_len, max_steps, aux) for b in range(len(x) + 2)]
+        if None in lds:
+            return None
+        best = None
+        for b in range(len(x) + 1):
+            drop = lds[b][0] - lds[b + 1][0]
+            if best is None or drop > best[0]:
+                best = (drop, lds[b][1], b)
+        return best
+
+    rows = []
+    for n in range(n_max + 1):
+        best = None
+        for x in ("".join(bits) for bits in product("01", repeat=n)):
+            got = value(x)
+            if got is None:
+                rows.append((n, None, x, "", None, True))
+                break
+            if best is None or got[0] > best[1][0]:
+                best = (x, got)
+        else:
+            x, (val, program, b) = best
+            rows.append((n, val, x, program, b, False))
+    return rows
 
 
 def run_quintuple(m5: QuintupleMachine, input_symbols: str | tuple[str, ...],

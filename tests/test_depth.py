@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import naive_k, naive_ld_general, naive_ld_reversible
+from oracles import naive_growth_rows, naive_k, naive_ld_general, naive_ld_reversible
 from revlab.depth import (
     _LINE,
     _RECORD,
@@ -264,10 +264,10 @@ def test_f_variant_comparison(lab):
 @pytest.mark.parametrize("variant", ["reversible", "general"])
 @pytest.mark.parametrize("aux", ["", "1011"])
 def test_f_table_finds_producers_once_per_string(monkeypatch, variant, aux):
-    # Every level of ld_b(x) reuses the producers, k(x) and nested
-    # complexities found once for x.  Nested ones use aux "", so with
-    # that aux a program that is itself a row string ("0001", printing
-    # "") is found once as each.
+    # Every query reads x's staircases, built from one _producers call per
+    # (x, budget, aux) and lab: every level of ld_b(x), the nested k of
+    # each producer (aux "", so "0001", printing "", is both a row string
+    # and a nested producer) and the psi and phi rows after the f rows.
     calls = Counter()
     producers = DepthLab._producers
 
@@ -276,11 +276,12 @@ def test_f_table_finds_producers_once_per_string(monkeypatch, variant, aux):
         return producers(self, x, budget, aux)
 
     monkeypatch.setattr(DepthLab, "_producers", counting)
-    DepthLab().f_table(4, Budget(14, 100_000), aux, variant)
+    lab, budget = DepthLab(), Budget(14, 100_000)
+    lab.f_table(4, budget, aux, variant)
+    lab.psi_table(4, budget, aux)
+    lab.phi_table(4, budget, aux)
     assert {x for x, a in calls if a == aux} >= set(all_bit_strings(4))
-    twice = {key for key, n in calls.items() if n > 1}
-    assert max(calls.values()) <= 2
-    assert twice == ({("0001", "")} if (variant, aux) == ("general", "") else set())
+    assert set(calls.values()) == {1}
 
 
 def test_growth_rows_pinned_at_tight_budget(lab):
@@ -379,6 +380,69 @@ def test_growth_rows_pinned_where_every_printer_lies_inside_l(lab):
     for table in tables:
         assert table.budget == budget
         assert [astuple(r) for r in table.rows] == rows[table.kind, table.variant]
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+@pytest.mark.parametrize("budget", [Budget(14, 100_000), Budget(8, 170)],
+                         ids=["L14", "L8-D170"])
+def test_growth_rows_match_oracle(lab, budget, aux):
+    # Every field of every psi, phi, f-rev and f-gen row, against loops
+    # over the oracle's producers; at D=170 psi and f-rev turn inconclusive.
+    tables = [lab.psi_table(3, budget, aux), lab.phi_table(3, budget, aux),
+              lab.f_table(3, budget, aux, "reversible"),
+              lab.f_table(3, budget, aux, "general")]
+    for table in tables:
+        want = naive_growth_rows(table.kind, table.variant, 3, budget.max_len,
+                                 budget.max_steps, aux)
+        assert [astuple(r) for r in table.rows] == want, (table.kind, table.variant)
+
+
+@pytest.mark.parametrize("fast", ["0000", "0001"])
+def test_ties_between_shortest_programs_go_to_fewer_steps(monkeypatch, fast):
+    # x = "" has two shortest programs whose running times differ, the
+    # faster one first or last in lexicographic order, and a longer one
+    # faster than both.  k lists both shortest programs; phi, psi and
+    # ld_0-rev report the faster of them, and ld_2-rev the longer one.
+    slow = "0001" if fast == "0000" else "0000"
+    runs = {slow: PrefixRunResult(HALTED, slow, "", 9),
+            fast: PrefixRunResult(HALTED, fast, "", 5),
+            "000001": PrefixRunResult(HALTED, "000001", "", 2)}
+    monkeypatch.setattr(DepthLab, "_producers",
+                        lambda self, x, budget, aux: dict(runs) if x == "" else {})
+    lab, budget = DepthLab(), Budget(0, 1000)
+    assert lab.k_bounded("", budget).witnesses == ("0000", "0001")
+    phi, = lab.phi_table(0, budget).rows
+    psi, = lab.psi_table(0, budget).rows
+    ld0 = lab.logical_depth("", 0, budget, "rev")
+    assert (phi.value, phi.witness_program) == (5, fast)
+    assert (psi.value, psi.witness_program) == (ld0.ld, fast) == (85, fast)
+    assert lab.logical_depth("", 2, budget, "rev").witness == "000001"
+
+
+def test_general_depth_admits_a_producer_from_its_excess(monkeypatch):
+    # "000001" makes "" in 2 steps, faster than the shortest program
+    # "0000" (5 steps), and is itself made by the 4-bit "0011": its excess
+    # |p| - k(p) is 2, so the general ld_b("") takes it from b = 2 on.
+    # "0000" has no producer of its own, which admits it at every b.
+    runs = {"": {"0000": PrefixRunResult(HALTED, "0000", "", 5),
+                 "000001": PrefixRunResult(HALTED, "000001", "", 2)},
+            "000001": {"0011": PrefixRunResult(HALTED, "0011", "000001", 7)}}
+    monkeypatch.setattr(DepthLab, "_producers",
+                        lambda self, x, budget, aux: dict(runs.get(x, {})))
+    lab, budget = DepthLab(), Budget(0, 1000)
+    assert [lab.logical_depth("", b, budget, "gen").witness for b in range(4)] == \
+        ["0000", "0000", "000001", "000001"]
+    assert lab.incompressible_programs("", 1, budget).programs == ("0000",)
+    assert lab.incompressible_programs("", 2, budget).programs == ("0000", "000001")
+
+
+@pytest.mark.parametrize("name, short", [("reversible", "rev"), ("general", "gen")])
+def test_variant_named_once_in_tables_and_records(lab, name, short):
+    for spelling in (name, short):
+        assert lab.f_table(1, QUICK, variant=spelling).variant == name
+        assert lab.logical_depth("0", 0, QUICK, spelling).variant == name
+    with pytest.raises(ValueError, match="unknown variant"):
+        lab.f_table(1, QUICK, variant=name[:1])
 
 
 # --- budget monotonicity -----------------------------------------------------------

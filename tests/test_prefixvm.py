@@ -22,6 +22,7 @@ from revlab.machines import (
 )
 from revlab.prefixvm import (
     BUDGET_EXCEEDED,
+    HALT_INDEX,
     HALTED,
     SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
@@ -39,7 +40,6 @@ from revlab.prefixvm import (
     encode_index,
     enumerate_machine,
     halt_machine,
-    halt_program,
     index_of_string,
     is_diverger,
     prefix_free_check,
@@ -779,6 +779,11 @@ def test_reversible_linear_in_forward_steps():
     u = universal_run(p, "", 10_000)
     r = universal_reversible_run(p, "", 10_000)
     assert r.steps <= 12 * u.steps + 4 * (len(u.program) + len(u.output)) + 9
+
+
+def halt_program() -> str:
+    """The one program of the halt machine: its code alone."""
+    return encode_index(HALT_INDEX)
 
 
 def test_reversible_immediate_halt_pair():

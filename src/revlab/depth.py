@@ -26,7 +26,8 @@ D steps never halts.  The machinery:
     ``print_program(x)``, is seeded as a candidate for every x, within L
     or beyond it, and run through the ledger.  This keeps k_upper below
     the print bound whenever the step budget allows the print run at
-    all.
+    all.  A producer's own printer program is never run: the general
+    variant admits a producer by reading the empty-aux sweep alone.
 
 A bit string is a program for x only when its run halts having scanned
 precisely that string.  Every value is a read of x's (length, steps)
@@ -40,9 +41,10 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .prefixvm import (
     BUDGET_EXCEEDED,
@@ -54,6 +56,7 @@ from .prefixvm import (
     encode_index,
     machine_starts,
     print_program,
+    print_steps,
     resume_run,
     reversible_view,
     universal_machine,
@@ -293,12 +296,19 @@ def _exact(bits: str, r: PrefixRunResult) -> bool:
     return r.outcome == HALTED and r.program == bits
 
 
-class _Staircases(NamedTuple):
-    """x's producers in (length, lexicographic) order, and their forward
-    and reversible staircases (:func:`_staircase`)."""
+@dataclass
+class _Staircases:
+    """x's producers in (length, lexicographic) order and their forward
+    staircase (:func:`_staircase`); their reversible staircase within
+    ``max_steps`` is built on its first read."""
     producers: dict[str, PrefixRunResult]
     forward: tuple[tuple[int, int, str], ...]
-    reversible: tuple[tuple[int, int, str], ...]
+    max_steps: int
+
+    @cached_property
+    def reversible(self) -> tuple[tuple[int, int, str], ...]:
+        return _staircase({p: reversible_view(r, self.max_steps)
+                           for p, r in self.producers.items()})
 
 
 @dataclass
@@ -307,9 +317,9 @@ class DepthLab:
 
     ``_sweeps`` holds one entry per (budget, aux): the sweep table, its
     exact halters grouped by output and the staircases of each string
-    queried.  Every query reads that entry and runs nothing but
-    literal-printer seeds through the ledger, the only source of printer
-    programs.
+    queried.  Every query reads that entry and runs nothing through the
+    ledger but the literal-printer seed of each string queried, the only
+    source of printer programs.
     """
 
     ledger: RunLedger = field(default_factory=RunLedger)
@@ -395,8 +405,7 @@ class DepthLab:
         if x not in known:
             producers = dict(sorted(self._producers(x, budget, aux).items(),
                                     key=lambda item: (len(item[0]), item[0])))
-            known[x] = _Staircases(producers, _staircase(producers), _staircase(
-                {p: reversible_view(r, budget.max_steps) for p, r in producers.items()}))
+            known[x] = _Staircases(producers, _staircase(producers), budget.max_steps)
         return known[x]
 
     # -- complexity -----------------------------------------------------------
@@ -418,24 +427,32 @@ class DepthLab:
         return rec if isinstance(rec, NoWitness) else rec.witnesses
 
     def _excess(self, s: _Staircases, budget: Budget) -> tuple[dict[str, int], bool]:
-        """Each producer p of ``s`` with its excess |p| - k_upper(p), so
-        that p is b-incompressible at every b >= excess, and whether every
-        k_upper(p) is exhaustive.  k_upper(p) is read off p's own forward
-        staircase (same budget, empty aux); a p without one is admitted at
-        every b (permissive direction), as an excess of 0."""
-        nested = {p: self._staircases(p, budget, "").forward for p in s.producers}
-        return ({p: len(p) - fwd[0][0] if fwd else 0 for p, fwd in nested.items()},
-                all(fwd and fwd[0][0] - 1 <= budget.max_len for fwd in nested.values()))
+        """Each producer p of ``s`` with its excess, so that p is
+        b-incompressible at every b >= excess, and whether every k(p) is
+        exhaustive.
+
+        p is b-incompressible when no program for p is shorter than
+        |p| - b.  The printer's program for p has 2|p| + 6 bits, so only
+        the (budget, "") sweep's programs for p decide that, and nothing
+        is run: the excess is |p| less the shortest of them, or 0 when
+        there is none.  k(p) is exhaustive, as in ``k_bounded``, when the
+        sweep holds a program for p or the printer's has at most L + 1
+        bits and its run fits D."""
+        self.sweep(budget)
+        index = self._sweeps[budget, ""][1]
+        excess = {p: len(p) - min(map(len, index[p])) if p in index else 0
+                  for p in s.producers}
+        return excess, all(p in index or (len(print_program(p)) - 1 <= budget.max_len
+                                          and print_steps(p) <= budget.max_steps)
+                           for p in s.producers)
 
     def incompressible_programs(self, x: str, b: int, budget: Budget,
                                 aux: str = "") -> IncompressibleSet | NoWitness:
-        """Producers p of x with |p| <= k_upper(p) + b, in (length,
-        lexicographic) order.
-
-        Nested complexities use the same budget and empty auxiliary; a
-        nested NoWitness admits the program (permissive direction) and
-        clears the nested_exhaustive flag.
-        """
+        """Producers p of x that are b-incompressible (see
+        :meth:`_excess`), in (length, lexicographic) order.  The sweep
+        decides admission exactly when |p| <= L + b + 1; a longer p, only
+        ever the printer's program for a long x, is admitted without a
+        decision."""
         if b < 0:
             raise ValueError("significance level must be >= 0")
         s = self._staircases(x, budget, aux)
@@ -513,10 +530,12 @@ class DepthLab:
 
     def psi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
         """Worst case over length-n strings of the shortest running time
-        of a shortest program on the reversible interpreter: the first
-        point of x's reversible staircase."""
-        return self._growth_table("psi", "reversible", n_max, budget, lambda x: _first(
-            self._staircases(x, budget, aux).reversible))
+        of a shortest program on the reversible interpreter: ld_0-rev(x),
+        with no value when no shortest program's reversible run fits D."""
+        def ld_0(x: str) -> tuple[int, str, None] | None:
+            rec = self._depths(x, [0], budget, "reversible", aux)[0]
+            return None if isinstance(rec, NoWitness) else (rec.ld, rec.witness, None)
+        return self._growth_table("psi", "reversible", n_max, budget, ld_0)
 
     def phi_table(self, n_max: int, budget: Budget, aux: str = "") -> GrowthTable:
         """psi over forward steps: the first point of x's forward staircase."""

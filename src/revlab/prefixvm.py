@@ -650,6 +650,12 @@ def print_program(x: str) -> str:
     return encode_index(PRINT_INDEX) + "".join(c + c for c in x) + "01"
 
 
+def print_steps(x: str) -> int:
+    """Steps of the run of ``print_program(x)``, on any aux: it halts
+    within a budget D exactly when ``print_steps(x) <= D``."""
+    return 4 * len(x) + 7
+
+
 # ---------------------------------------------------------------------------
 # Prefix-freeness check
 

@@ -115,15 +115,10 @@ def naive_ld_reversible(x: str, b: int, max_len: int, max_steps: int,
 
 
 def naive_psi(x: str, max_len: int, max_steps: int, aux: str = ""):
-    """(steps, witness): among the producers whose reversible run halts
-    with pair (p, x), the shortest, then the fewest steps, then the
-    lexicographically first."""
-    found = []
-    for p in producers(x, max_len, max_steps, aux):
-        r = universal_reversible_run(p, aux, max_steps)
-        if r.outcome == "halted" and r.pair == (p, x):
-            found.append((len(p), r.steps, p))
-    return min(found)[1:] if found else None
+    """(steps, witness): ld_0-rev, the shortest running time of a shortest
+    program, or None when no shortest program's reversible run halts
+    within max_steps."""
+    return naive_ld_reversible(x, 0, max_len, max_steps, aux)
 
 
 def naive_phi(x: str, max_len: int, max_steps: int, aux: str = ""):

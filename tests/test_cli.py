@@ -240,6 +240,18 @@ def test_depth_table_phi_inconclusive_exit_code(capsys):
     assert all(env["payload"]["row"]["inconclusive"] for env in lines)
 
 
+def test_depth_table_psi_is_inconclusive_where_ld_0_rev_is(capsys):
+    # At D=300 the only shortest program for "000", the 8-bit "00110101",
+    # has a 425-step reversible run: psi row 3 has no value, although the
+    # 9-bit "000001000" runs reversibly in 189 steps.
+    rc, lines, _ = run_cli(capsys, [
+        "depth", "table", "psi", "--n-max", "3", "--max-len", "14", "--budget", "300"])
+    assert rc == EXIT_NO_WITNESS
+    assert [env["payload"]["row"]["value"] for env in lines] == [73, 161, 237, None]
+    assert lines[3]["payload"]["row"]["witness_x"] == "000"
+    assert lines[3]["payload"]["row"]["inconclusive"]
+
+
 def test_cli_payloads_reproducible(capsys):
     argv = ["depth", "k", "00", "--max-len", "10", "--budget", "2000"]
     _, first, _ = run_cli(capsys, argv)
@@ -370,9 +382,9 @@ def test_cold_cli_runs_write_a_pinned_ledger(capsys, tmp_path):
         assert main(argv + common) == EXIT_OK
     (path,) = tmp_path.iterdir()
     data = path.read_bytes()
-    assert data.count(b"\n") == 167
+    assert data.count(b"\n") == 122
     assert hashlib.sha256(data).hexdigest() == (
-        "92163dbad94436f67ddc70be9c5cce854521fc3715253d1c9fa0ee746be47560")
+        "f6f0a45adda46ec885983ff02204139cf55aa05eeb6843158db6ca86f9c6b9e8")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,16 +1,19 @@
 """Budget-bounded complexity, depth, growth tables, and the ledger."""
 
+import hashlib
 import json
 import math
 import re
 import threading
 from collections import Counter
 from dataclasses import astuple
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from oracles import naive_growth_rows, naive_k, naive_ld_general, naive_ld_reversible
+from revlab import depth
 from revlab.depth import (
     _LINE,
     _RECORD,
@@ -34,6 +37,7 @@ from revlab.prefixvm import (
     machine_starts,
     prefix_free_check,
     print_program,
+    print_steps,
     resume_run,
     universal_reversible_run,
     universal_run,
@@ -178,6 +182,46 @@ def test_depth_reversible_matches_naive_oracle(lab):
                 assert (rec.ld, rec.witness) == expect, (x, b)
 
 
+def _general_listing(lab, budget, aux):
+    """One line per x with |x| <= 4 and b <= |x| + 1: ld_b-gen(x) as
+    (value, witness, flag) and x's b-incompressible set with its flag."""
+    lines = []
+    for x in all_bit_strings(4):
+        for b in range(len(x) + 2):
+            rec = lab.logical_depth(x, b, budget, "gen", aux)
+            inc = lab.incompressible_programs(x, b, budget, aux)
+            lines.append(" ".join([
+                x or "-", str(b),
+                "none" if isinstance(rec, NoWitness)
+                else f"{rec.ld} {rec.witness} {rec.exhaustive:d}",
+                "none" if isinstance(inc, NoWitness)
+                else f"{','.join(inc.programs)} {inc.nested_exhaustive:d}"]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("budget, aux, digest", [
+    (Budget(8, 170), "", "a8d3e0d3f33a2428f1792794ebe346f8418207d15be80b4f19d19bd606c21ed6"),
+    (Budget(8, 170), "1011", "3ab1d89d1b6ee7203b1df1c74ad1cdaffbfcafc9d5f054f45ff419d9eeeae033"),
+    (Budget(14, 300), "", "b052f929663661d91dbcf8dab29a9d984e54470910a246aeb484ad4c67ec1ccf"),
+    (Budget(14, 300), "1011", "f0c7e88603c07e33003d1e4ccc3010b8ec55d7e408691d0ecb78dd8ecd1ec12f"),
+    (Budget(14, 100_000), "",
+     "b052f929663661d91dbcf8dab29a9d984e54470910a246aeb484ad4c67ec1ccf"),
+    (Budget(14, 100_000), "1011",
+     "f0c7e88603c07e33003d1e4ccc3010b8ec55d7e408691d0ecb78dd8ecd1ec12f"),
+    (Budget(26, 100_000), "",
+     "762678675dbd129371ed609dfd3b84f34534925c33a58f27c45fc388b742bbd5"),
+    (Budget(26, 100_000), "1011",
+     "b546366583d7de2ca3e1dc0e211a7fc4895331702a718613dea00fb66ecbaeb9"),
+], ids=[f"L{L}-D{D}{aux}" for L, D in ((8, 170), (14, 300), (14, 100_000), (26, 100_000))
+        for aux in ("", "-aux")])
+def test_general_records_are_pinned(lab, budget, aux, digest):
+    # Digests of _general_listing as recorded when every producer's nested
+    # k was read off its own staircases, printer seed included.  Reading
+    # the empty-aux sweep alone gives the same values, witnesses, sets and
+    # flags; at L=26 some flags are set, for x = "0", "1", "00" and "01".
+    assert hashlib.sha256(_general_listing(lab, budget, aux).encode()).hexdigest() == digest
+
+
 def test_reversible_witness_lengths_in_window(lab):
     for x in ("0", "00", "000", "110"):
         kx = lab.k_bounded(x, MID).k_upper
@@ -265,9 +309,9 @@ def test_f_variant_comparison(lab):
 @pytest.mark.parametrize("aux", ["", "1011"])
 def test_f_table_finds_producers_once_per_string(monkeypatch, variant, aux):
     # Every query reads x's staircases, built from one _producers call per
-    # (x, budget, aux) and lab: every level of ld_b(x), the nested k of
-    # each producer (aux "", so "0001", printing "", is both a row string
-    # and a nested producer) and the psi and phi rows after the f rows.
+    # (x, budget, aux) and lab: every level of ld_b(x) and the psi and phi
+    # rows after the f rows.  The general variant's nested k reads the
+    # sweep, so no producer of x has its own producers found.
     calls = Counter()
     producers = DepthLab._producers
 
@@ -280,8 +324,89 @@ def test_f_table_finds_producers_once_per_string(monkeypatch, variant, aux):
     lab.f_table(4, budget, aux, variant)
     lab.psi_table(4, budget, aux)
     lab.phi_table(4, budget, aux)
-    assert {x for x, a in calls if a == aux} >= set(all_bit_strings(4))
+    assert set(calls) == {(x, aux) for x in all_bit_strings(4)}
     assert set(calls.values()) == {1}
+
+
+def test_reversible_staircase_is_built_on_its_first_read(monkeypatch):
+    # phi, k, incompressible sets and the general variant never read the
+    # reversible staircase; psi builds it, and f-rev reads the same one.
+    views = []
+    view = depth.reversible_view
+    monkeypatch.setattr(depth, "reversible_view",
+                        lambda r, budget: views.append(r.program) or view(r, budget))
+    lab, budget = DepthLab(), Budget(14, 100_000)
+    lab.phi_table(4, budget)
+    lab.f_table(4, budget, variant="general")
+    for x in all_bit_strings(4):
+        lab.k_bounded(x, budget)
+        lab.incompressible_programs(x, 0, budget)
+    assert views == []
+    lab.psi_table(4, budget)
+    assert views and len(views) == len(set(views))
+    built = len(views)
+    lab.f_table(4, budget, variant="reversible")
+    assert len(views) == built
+
+
+def test_general_variant_runs_one_printer_seed_per_string(monkeypatch):
+    # The sweep resumes runs and never calls universal_run, so every call
+    # is a printer seed: one per row string, none per producer.
+    calls = []
+    run = depth.universal_run
+    monkeypatch.setattr(depth, "universal_run",
+                        lambda bits, aux, budget: calls.append(bits) or run(bits, aux, budget))
+    lab = DepthLab()
+    lab.f_table(8, Budget(20, 100_000), variant="general")
+    assert len(calls) == 511
+    assert sorted(calls) == sorted(print_program(x) for x in all_bit_strings(8))
+
+
+def test_values_keep_their_identities_where_budgets_bite():
+    # Over budgets where reversible runs exceed D, for every x with
+    # |x| <= (L - 6) / 2: psi rows are the rows of ld_0-rev, phi <= psi,
+    # ld_b falls with b in both variants, the printer bounds k whenever
+    # its run fits, and each f row is its witness's largest ld_b drop.
+    lab = DepthLab()
+    for L, D, aux in product((8, 12, 14), (170, 300, 500, 100_000), ("", "1011")):
+        budget, n_max = Budget(L, D), (L - 6) // 2
+        psi = lab.psi_table(n_max, budget, aux)
+        lds = {(x, v): [lab.logical_depth(x, b, budget, v, aux) for b in range(len(x) + 2)]
+               for x in all_bit_strings(n_max) for v in ("reversible", "general")}
+        for n in range(n_max + 1):
+            want = None
+            for x in (x for x in all_bit_strings(n) if len(x) == n):
+                ld0 = lds[x, "reversible"][0]
+                if isinstance(ld0, NoWitness):
+                    want = (None, x, "", True)
+                    break
+                if want is None or ld0.ld > want[0]:
+                    want = (ld0.ld, x, ld0.witness, False)
+            row = psi.rows[n]
+            assert (row.value, row.witness_x, row.witness_program, row.inconclusive) == want
+        for x in all_bit_strings(n_max):
+            k = lab.k_bounded(x, budget, aux)
+            if D >= print_steps(x):
+                assert k.k_upper <= 2 * len(x) + 6, (x, budget, aux)
+            ld0 = lds[x, "reversible"][0]
+            if not isinstance(ld0, NoWitness):
+                phi = min(universal_run(w, aux, D).steps for w in k.witnesses)
+                assert phi <= ld0.ld, (x, budget, aux)
+            for v in ("reversible", "general"):
+                defined = [not isinstance(rec, NoWitness) for rec in lds[x, v]]
+                found = [rec.ld for rec in lds[x, v] if not isinstance(rec, NoWitness)]
+                assert defined == sorted(defined), (x, v, budget, aux)
+                assert found == sorted(found, reverse=True), (x, v, budget, aux)
+        for v in ("reversible", "general"):
+            for row in lab.f_table(n_max, budget, aux, v).rows:
+                recs = lds[row.witness_x, v]
+                if row.inconclusive:
+                    assert any(isinstance(rec, NoWitness) for rec in recs)
+                    continue
+                drops = [recs[b].ld - recs[b + 1].ld for b in range(row.n + 1)]
+                b = drops.index(max(drops))
+                assert (row.value, row.witness_program, row.witness_b) == \
+                    (drops[b], recs[b].witness, b), (row, budget, aux)
 
 
 def test_growth_rows_pinned_at_tight_budget(lab):
@@ -421,15 +546,18 @@ def test_ties_between_shortest_programs_go_to_fewer_steps(monkeypatch, fast):
 
 def test_general_depth_admits_a_producer_from_its_excess(monkeypatch):
     # "000001" makes "" in 2 steps, faster than the shortest program
-    # "0000" (5 steps), and is itself made by the 4-bit "0011": its excess
-    # |p| - k(p) is 2, so the general ld_b("") takes it from b = 2 on.
-    # "0000" has no producer of its own, which admits it at every b.
-    runs = {"": {"0000": PrefixRunResult(HALTED, "0000", "", 5),
-                 "000001": PrefixRunResult(HALTED, "000001", "", 2)},
-            "000001": {"0011": PrefixRunResult(HALTED, "0011", "000001", 7)}}
+    # "0000" (5 steps), and the empty-aux sweep holds the 4-bit "0011"
+    # making it: its excess |p| - k(p) is 2, so the general ld_b("") takes
+    # it from b = 2 on.  The sweep holds no program for "0000", which
+    # admits it at every b.
+    runs = {"0000": PrefixRunResult(HALTED, "0000", "", 5),
+            "000001": PrefixRunResult(HALTED, "000001", "", 2)}
     monkeypatch.setattr(DepthLab, "_producers",
-                        lambda self, x, budget, aux: dict(runs.get(x, {})))
+                        lambda self, x, budget, aux: dict(runs) if x == "" else {})
     lab, budget = DepthLab(), Budget(0, 1000)
+    lab.sweep(budget)
+    lab._sweeps[budget, ""][1]["000001"] = {
+        "0011": PrefixRunResult(HALTED, "0011", "000001", 7)}
     assert [lab.logical_depth("", b, budget, "gen").witness for b in range(4)] == \
         ["0000", "0000", "000001", "000001"]
     assert lab.incompressible_programs("", 1, budget).programs == ("0000",)

@@ -1,6 +1,7 @@
 """Program-tape semantics, the enumeration, and the universal interpreter."""
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -27,6 +28,7 @@ from revlab.prefixvm import (
     SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
+    PrefixRunResult,
     _described,
     _fresh,
     _parse_general,
@@ -45,6 +47,7 @@ from revlab.prefixvm import (
     prefix_free_check,
     print_machine,
     print_program,
+    print_steps,
     resume_run,
     run_prefix,
     serialize_index,
@@ -646,13 +649,17 @@ def test_universal_copy3_composition():
 
 
 def test_universal_print_convention():
-    for x in ("", "0", "1", "0110"):
+    # The printer's run of x halts in print_steps(x) steps on any aux, and
+    # not a step earlier.
+    for x, aux in product(all_bit_strings(8), ("", "1011")):
         p = print_program(x)
-        result = universal_run(p, "", 10_000)
-        assert result.outcome == HALTED
-        assert result.program == p
-        assert result.output == x
         assert len(p) == 2 * len(x) + 6
+        assert print_steps(x) == 4 * len(x) + 7
+        for budget in (print_steps(x), 100_000):
+            assert universal_run(p, aux, budget) == \
+                PrefixRunResult(HALTED, p, x, print_steps(x)), (x, aux, budget)
+        assert universal_run(p, aux, print_steps(x) - 1).outcome == BUDGET_EXCEEDED, \
+            (x, aux)
 
 
 def test_universal_malformed_index_diverges():

@@ -43,7 +43,8 @@ from .machines import (
 from .prefixvm import (
     enumerate_machine,
     is_diverger,
-    prefix_free_check,
+    print_program,
+    print_steps,
     universal_machine,
     universal_reversible_run,
     universal_run,
@@ -189,17 +190,29 @@ def cmd_univ_enumerate(args, out: Emitter) -> int:
 
 
 def cmd_univ_check_prefix(args, out: Emitter) -> int:
+    """Check that the halting programs of at most L bits form a prefix
+    code.  They are the (L, D) sweep's exact halters, scanned in sorted
+    order for a program that prefixes the next, and the literal
+    printer's programs <2>(bb)*01 that fit L and halt within D, counted
+    and not run: that family is prefix-free by its code and shares no
+    prefix with the sweep, which never holds <2>."""
     check_binary(args.aux, "aux")
-    report = prefix_free_check(args.max_len, args.budget, args.aux)
+    budget = _budget(args)
+    lab = DepthLab()
+    halters = sorted(lab.exact_halters(budget, args.aux))
+    violations = [[a, b] for a, b in zip(halters, halters[1:]) if b.startswith(a)]
+    printers = sum(2 ** n for n in range(budget.max_len + 1)
+                   if len(print_program("0" * n)) <= budget.max_len
+                   and print_steps("0" * n) <= budget.max_steps)
     out.emit({
-        "max_len": report.max_len,
-        "budget": report.budget,
-        "runs": report.runs,
-        "halting_programs": len(report.halting_programs),
-        "violations": [list(v) for v in report.violations],
-        "prefix_free": report.prefix_free,
+        "max_len": budget.max_len,
+        "budget": budget.max_steps,
+        "runs": len(lab.sweep(budget, args.aux)),
+        "halting_programs": len(halters) + printers,
+        "violations": violations,
+        "prefix_free": not violations,
     })
-    return EXIT_OK if report.prefix_free else EXIT_INVALID
+    return EXIT_INVALID if violations else EXIT_OK
 
 
 # --- depth -------------------------------------------------------------------

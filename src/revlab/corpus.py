@@ -378,12 +378,3 @@ def corpus_entry(name: str) -> CorpusEntry:
             return entry
     raise KeyError(name)
 
-
-def inputs_up_to(alphabet: tuple[str, ...], max_len: int) -> list[str]:
-    """All input strings over ``alphabet`` with length <= max_len."""
-    out = [""]
-    layer = [""]
-    for _ in range(max_len):
-        layer = [w + s for w in layer for s in alphabet]
-        out.extend(layer)
-    return out

@@ -100,6 +100,8 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
                 tape_count = int(fields[1])
             except (IndexError, ValueError):
                 raise MachineFormatError(line_no, "tapes takes one integer")
+            if tape_count < 1:
+                raise MachineFormatError(line_no, f"tapes must be >= 1, got {tape_count}")
         elif key == "alphabet":
             if len(fields) < 5 or fields[2] != "blank" or fields[4] != "symbols":
                 raise MachineFormatError(

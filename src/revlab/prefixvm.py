@@ -656,24 +656,6 @@ def print_steps(x: str) -> int:
     return 4 * len(x) + 7
 
 
-# ---------------------------------------------------------------------------
-# Prefix-freeness check
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    max_len: int
-    budget: int
-    aux: str
-    runs: int
-    halting_programs: tuple[str, ...]
-    violations: tuple[tuple[str, str], ...]
-
-    @property
-    def prefix_free(self) -> bool:
-        return not self.violations
-
-
 def all_bit_strings(max_len: int) -> list[str]:
     out = [""]
     layer = [""]
@@ -681,25 +663,3 @@ def all_bit_strings(max_len: int) -> list[str]:
         layer = [w + b for w in layer for b in "01"]
         out.extend(layer)
     return out
-
-
-def prefix_free_check(max_len: int, budget: int, aux: str = "",
-                      runner=universal_run) -> CheckReport:
-    """Exhaustively run every bit string up to max_len and verify the set
-    of halting programs is an antichain under the prefix order."""
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    programs = set()
-    runs = 0
-    for bits in all_bit_strings(max_len):
-        runs += 1
-        result = runner(bits, aux, budget)
-        if result.outcome == HALTED:
-            programs.add(result.program)
-    ordered = sorted(programs)
-    violations = []
-    for a, b in zip(ordered, ordered[1:]):
-        if b.startswith(a) and a != b:
-            violations.append((a, b))
-    return CheckReport(max_len, budget, aux, runs, tuple(ordered),
-                       tuple(violations))

@@ -1,15 +1,17 @@
-"""Definitional brute-force oracles for complexity and depth, and a
-direct quintuple-machine interpreter.
+"""Definitional brute-force oracles for complexity, depth and
+prefix-freeness, and a direct quintuple-machine interpreter.
 
 The depth oracles are deliberately independent of revlab.depth:
 straight loops over direct interpreter calls, no ledger, no sweep
 sharing, their own enumeration and seed construction, their own
 tie-breaking written from the definitions.  The only reused code is the
 interpreter itself, which is what these oracles check the depth lab
-against.  ``run_quintuple`` is the oracle for
-``machines.normalize_to_quadruples``.
+against.  ``prefix_free_check`` runs every bit string up to L, the
+oracle for ``revlab univ check-prefix``, which reads the sweep.
+``run_quintuple`` is the oracle for ``machines.normalize_to_quadruples``.
 """
 
+from dataclasses import dataclass
 from itertools import product
 
 from revlab.machines import (
@@ -27,11 +29,16 @@ _tables: dict = {}
 _exact_by_output: dict = {}
 
 
-def bit_strings(max_len: int):
-    yield ""
-    for n in range(1, max_len + 1):
-        for combo in product("01", repeat=n):
+def inputs_up_to(alphabet, max_len: int):
+    """Every string over ``alphabet`` of length <= max_len, in (length,
+    alphabet) order."""
+    for n in range(max_len + 1):
+        for combo in product(alphabet, repeat=n):
             yield "".join(combo)
+
+
+def bit_strings(max_len: int):
+    return inputs_up_to("01", max_len)
 
 
 def literal_print(x: str) -> str:
@@ -167,6 +174,38 @@ def naive_growth_rows(kind: str, variant: str, n_max: int, max_len: int,
             x, (val, program, b) = best
             rows.append((n, val, x, program, b, False))
     return rows
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    max_len: int
+    budget: int
+    aux: str
+    runs: int
+    halting_programs: tuple[str, ...]
+    violations: tuple[tuple[str, str], ...]
+
+    @property
+    def prefix_free(self) -> bool:
+        return not self.violations
+
+
+def prefix_free_check(max_len: int, budget: int, aux: str = "",
+                      runner=universal_run) -> CheckReport:
+    """Run every bit string up to max_len through ``runner`` and check
+    that the set of halting programs is an antichain under the prefix
+    order.  A test passes its own ``runner`` to break or record runs."""
+    programs = set()
+    runs = 0
+    for bits in bit_strings(max_len):
+        runs += 1
+        result = runner(bits, aux, budget)
+        if result.outcome == HALTED:
+            programs.add(result.program)
+    ordered = sorted(programs)
+    violations = [(a, b) for a, b in zip(ordered, ordered[1:]) if b.startswith(a)]
+    return CheckReport(max_len, budget, aux, runs, tuple(ordered),
+                       tuple(violations))
 
 
 def run_quintuple(m5: QuintupleMachine, input_symbols: str | tuple[str, ...],

@@ -5,13 +5,24 @@ prints one PASS/FAIL line (run with ``pytest -s`` to see them live).
 Criteria 5-8 share one laboratory at (L=14, D=100000).
 """
 
+import io
+import json
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
-from oracles import naive_k, naive_ld_general, naive_ld_reversible, run_table
-from revlab.corpus import corpus, inputs_up_to
+from oracles import (
+    bit_strings,
+    inputs_up_to,
+    naive_k,
+    naive_ld_general,
+    naive_ld_reversible,
+    prefix_free_check,
+    run_table,
+)
+from revlab.cli import EXIT_OK, main
+from revlab.corpus import corpus
 from revlab.depth import Budget, DepthLab, NoWitness
 from revlab.machines import (
     HALTED,
@@ -21,7 +32,6 @@ from revlab.machines import (
     run,
     run_from,
 )
-from revlab.prefixvm import prefix_free_check
 from revlab.reversal import (
     LINEAR_A,
     LINEAR_B,
@@ -121,19 +131,20 @@ def test_4_prefix_freeness():
         assert report.runs == 2 ** 13 - 1
         assert report.violations == ()
         assert len(report.halting_programs) > 20
-
-
-def every_x(n_max):
-    out = [""]
-    for n in range(1, n_max + 1):
-        out.extend(format(k, f"0{n}b") for k in range(2 ** n))
-    return out
+        out = io.StringIO()  # not capsys, so that the PASS line still shows
+        with redirect_stdout(out):
+            rc = main(["univ", "check-prefix", "--max-len", "12", "--budget", "10000"])
+        assert rc == EXIT_OK
+        payload = json.loads(out.getvalue())["payload"]
+        assert payload["halting_programs"] == len(report.halting_programs)
+        assert payload["violations"] == []
+        assert payload["prefix_free"] is True
 
 
 def test_5_oracle_equivalence(lab):
     with criterion(5, "oracle equivalence at (L=14, D=10^5), |x|<=3, b<=2"):
         run_table(ACCEPT.max_len, ACCEPT.max_steps)  # build the oracle's table
-        for x in every_x(3):
+        for x in bit_strings(3):
             rec = lab.k_bounded(x, ACCEPT)
             expect = naive_k(x, ACCEPT.max_len, ACCEPT.max_steps)
             assert (rec.k_upper, rec.witnesses) == expect, x
@@ -149,7 +160,7 @@ def test_5_oracle_equivalence(lab):
 def test_6_monotonicity_suites(lab):
     with criterion(6, "monotonicity in significance and budget"):
         doubled = Budget(ACCEPT.max_len, ACCEPT.max_steps * 2)
-        for x in every_x(3):
+        for x in bit_strings(3):
             for variant in ("general", "reversible"):
                 records = [lab.logical_depth(x, b, ACCEPT, variant)
                            for b in range(4)]
@@ -169,7 +180,7 @@ def test_6_monotonicity_suites(lab):
 
 def test_7_theorem_concordance(lab):
     with criterion(7, "reversible witness window and variant comparison"):
-        for x in every_x(3):
+        for x in bit_strings(3):
             k_upper = lab.k_bounded(x, ACCEPT).k_upper
             for b in (0, 1, 2):
                 rec = lab.logical_depth_reversible(x, b, ACCEPT)

@@ -5,11 +5,13 @@ import json
 
 import pytest
 
-from revlab import cli
+from oracles import prefix_free_check
+from revlab import cli, depth
 from revlab.cli import EXIT_INVALID, EXIT_NO_WITNESS, EXIT_OK, EXIT_USAGE, main
 from revlab.corpus import corpus_entry
 from revlab.depth import RunLedger
 from revlab.machfmt import serialize_machine
+from revlab.prefixvm import universal_run
 
 
 @pytest.fixture()
@@ -82,6 +84,18 @@ def test_machine_run_rejects_nondeterministic_machine(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not forward deterministic at state 'q0'" in captured.err
+
+
+@pytest.mark.parametrize("tapes", [0, -1])
+@pytest.mark.parametrize("cmd", [["validate"], ["run", "--budget", "10"]],
+                         ids=["validate", "run"])
+def test_machine_without_tapes_is_a_parse_error(capsys, tmp_path, cmd, tapes):
+    path = tmp_path / "tapeless.tm"
+    path.write_text(f"machine x\ntapes {tapes}\nstates s\nstart s\nhalt s\n")
+    assert main(["machine", cmd[0], str(path), *cmd[1:]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 2: tapes must be >= 1")
 
 
 def test_rev_verify_exit_codes(capsys, corpus_dir):
@@ -180,6 +194,59 @@ def test_univ_check_prefix(capsys):
         "univ", "check-prefix", "--max-len", "8", "--budget", "2000"])
     assert rc == EXIT_OK
     assert lines[0]["payload"]["prefix_free"] is True
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_check_prefix_equals_the_brute_force_oracle(capsys, aux):
+    # D below, at and above the 4 steps of the halt program "0001" and the
+    # 7 of the printer's shortest program, up to far past every run here.
+    for d in (0, 3, 4, 7, 11, 17, 300, 10_000):
+        runs = {}
+
+        def memo(bits, aux, budget):  # each string runs once for all L
+            if bits not in runs:
+                runs[bits] = universal_run(bits, aux, budget)
+            return runs[bits]
+
+        for max_len in range(15):
+            want = prefix_free_check(max_len, d, aux, runner=memo)
+            rc, lines, _ = run_cli(capsys, [
+                "univ", "check-prefix", "--max-len", str(max_len),
+                "--budget", str(d), "--aux", aux])
+            got = lines[0]["payload"]
+            assert rc == (EXIT_OK if want.prefix_free else EXIT_INVALID)
+            assert (got["halting_programs"], got["violations"], got["prefix_free"]) == (
+                len(want.halting_programs), [list(v) for v in want.violations],
+                want.prefix_free), (max_len, d)
+
+
+def test_check_prefix_counts_printer_programs_without_running_them(
+        capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a program from scratch")
+
+    monkeypatch.setattr(depth, "universal_run", no_run)
+    monkeypatch.setattr(cli, "universal_run", no_run)
+    rc, lines, _ = run_cli(capsys, [
+        "univ", "check-prefix", "--max-len", "30", "--budget", "100000"])
+    assert rc == EXIT_OK
+    payload = lines[0]["payload"]
+    # 156 sweep halters and the 2^13 - 1 printer programs of every x with
+    # |x| <= 12, whose codes have 2|x| + 6 <= 30 bits.
+    assert (payload["runs"], payload["halting_programs"]) == (182, 156 + 2 ** 13 - 1)
+    assert payload["prefix_free"] is True
+
+
+def test_check_prefix_reports_a_program_that_prefixes_another(capsys, monkeypatch):
+    # A sweep whose halters are no prefix code, as a broken interpreter
+    # that re-reads its bits would give.
+    monkeypatch.setattr(depth.DepthLab, "exact_halters",
+                        lambda self, budget, aux="": dict.fromkeys(["01", "0001", "00010"]))
+    rc, lines, _ = run_cli(capsys, [
+        "univ", "check-prefix", "--max-len", "8", "--budget", "2000"])
+    assert rc == EXIT_INVALID
+    payload = lines[0]["payload"]
+    assert (payload["violations"], payload["prefix_free"]) == ([["0001", "00010"]], False)
 
 
 @pytest.mark.parametrize("argv", [
@@ -491,7 +558,7 @@ PINNED_COMMANDS = [
     ("univ enumerate --index 2", EXIT_OK,
      "70128883185b003629aafdd90273e2375fabc174fb36c2921925f87bf6804fd0"),
     ("univ check-prefix --max-len 8 --budget 2000", EXIT_OK,
-     "61fb79e6cc758cbed95fe8b800560b80ddae2e182d91c2a2312702931c3d113b"),
+     "d1b2d0f8dd8834c1c38ba972e4e13a304c4a75cade10f0f3f7a29474c70af14f"),
     ("depth k 000 --max-len 10 --budget 5000", EXIT_OK,
      "2a781e7b305aba3aa7e3137e9fd48cfd0fddf17c3283b11ba659b5ec6ceda503"),
     ("depth ld 000 --b 0 --variant rev --max-len 10 --budget 5000", EXIT_OK,

@@ -1,6 +1,7 @@
 """Corpus machines behave as their recorded references say."""
 
-from revlab.corpus import corpus, corpus_entry, inputs_up_to
+from oracles import inputs_up_to
+from revlab.corpus import corpus, corpus_entry
 from revlab.machines import (
     BUDGET_EXCEEDED,
     HALTED,

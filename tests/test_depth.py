@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from oracles import naive_growth_rows, naive_k, naive_ld_general, naive_ld_reversible
+from oracles import (
+    naive_growth_rows,
+    naive_k,
+    naive_ld_general,
+    naive_ld_reversible,
+    prefix_free_check,
+)
 from revlab import depth
 from revlab.depth import (
     _LINE,
@@ -35,7 +41,6 @@ from revlab.prefixvm import (
     enumerate_machine,
     is_diverger,
     machine_starts,
-    prefix_free_check,
     print_program,
     print_steps,
     resume_run,

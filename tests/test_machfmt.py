@@ -101,6 +101,18 @@ def test_parse_accepts_alphabets_before_tapes_line():
     assert parse_machine(text).tape_count == 2
 
 
+@pytest.mark.parametrize("tapes", [0, -1])
+@pytest.mark.parametrize("head, bad_line", [
+    ("machine x\ntapes {tapes}\n", 2),
+    ("machine x\nalphabet 1 blank _ symbols 0 1\ntapes {tapes}\n", 3),
+], ids=["no-alphabet", "after-alphabet"])
+def test_parse_rejects_tape_count_below_one(head, bad_line, tapes):
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine(head.format(tapes=tapes) + MACHINE_TAIL)
+    assert err.value.line_no == bad_line
+    assert "tapes must be >= 1" in str(err.value)
+
+
 @pytest.mark.parametrize("tape_lines, bad_line", [
     (["tape 2 head 0 cells 1", "tape 1 head 0 cells 0"], 3),
     (["tape 1 head 0 cells 1", "tape 1 head 0 cells 0"], 4),

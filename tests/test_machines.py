@@ -26,10 +26,9 @@ from revlab.machines import (
     trace_run,
     validate_machine,
 )
-from revlab.corpus import BLANK, BINARY, corpus, corpus_entry, inputs_up_to
+from oracles import inputs_up_to, run_quintuple
+from revlab.corpus import BLANK, BINARY, corpus, corpus_entry
 from revlab.reversal import bennett_transform, invert
-
-from oracles import run_quintuple
 
 
 def quad(rules, start="q0", halts=(), alphabet=BINARY, states=None):

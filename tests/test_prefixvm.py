@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from oracles import prefix_free_check
 from revlab.corpus import corpus, corpus_entry
 from revlab.machines import (
     Alphabet,
@@ -44,7 +45,6 @@ from revlab.prefixvm import (
     halt_machine,
     index_of_string,
     is_diverger,
-    prefix_free_check,
     print_machine,
     print_program,
     print_steps,

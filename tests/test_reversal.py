@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from revlab.corpus import BINARY, corpus, corpus_entry, inputs_up_to
+from oracles import inputs_up_to
+from revlab.corpus import BINARY, corpus, corpus_entry
 from revlab.machfmt import serialize_machine
 from revlab.machines import (
     HALTED,

@@ -35,6 +35,7 @@ from .machines import (
     Machine,
     MachineError,
     QuintupleMachine,
+    check_valid,
     normalize_to_quadruples,
     run,
     trace_run,
@@ -101,6 +102,7 @@ def cmd_machine_validate(args, out: Emitter) -> int:
 
 def cmd_machine_run(args, out: Emitter) -> int:
     m = _as_quadruple(_load_machine(args.file))
+    check_valid(m)
     result = run(m, args.input, args.budget)
     out.emit({
         "outcome": result.outcome,
@@ -113,6 +115,7 @@ def cmd_machine_run(args, out: Emitter) -> int:
 
 def cmd_machine_trace(args, out: Emitter) -> int:
     m = _as_quadruple(_load_machine(args.file))
+    check_valid(m)
     for c in trace_run(m, args.input, args.budget):
         out.emit(_config_payload(c))
     return EXIT_OK

@@ -6,7 +6,7 @@ D steps never halts.  The machinery:
 
   * a persistent RunLedger caching interpreter runs keyed by
     (universal digest, bits, aux, D): an append-only JSONL file holding
-    only the runs actually executed;
+    only the runs actually executed, which are the sweeps' runs;
   * one cache entry per (L, D, aux): the sweep, the tree of machine runs
     rooted at the code <i> of every non-diverger machine i with
     |<i>| <= min(L, D) other than the literal printer, grown by running
@@ -22,12 +22,11 @@ D steps never halts.  The machinery:
     until both children have run and are never persisted.  Every query
     reads its producers from that index; a string extending a halted or
     budget-exceeded run is never a program and is not stored;
-  * the literal printer is never swept: its only program for x,
-    ``print_program(x)``, is seeded as a candidate for every x, within L
-    or beyond it, and run through the ledger.  This keeps k_upper below
-    the print bound whenever the step budget allows the print run at
-    all.  A producer's own printer program is never run: the general
-    variant admits a producer by reading the empty-aux sweep alone.
+  * the literal printer is never swept or run: its only program for x,
+    ``print_program(x)``, of any length, is a producer of x whenever its
+    closed-form running time ``print_steps(x)`` fits D.  The general
+    variant admits a producer by reading the empty-aux sweep alone, so
+    queries run nothing and write no ledger line.
 
 A bit string is a program for x only when its run halts having scanned
 precisely that string.  Every value is a read of x's (length, steps)
@@ -158,10 +157,10 @@ class RunLedger:
     printer: the index layer is derived, never run.  A resumed run is
     stored like any other; its paused run is not, so the children of a
     hit resume the paused run the hit was asked with.  Lines of
-    index-layer and printer-subtree runs, which older sweeps stored,
-    still load; the sweep just never asks for them.  Every line is
-    written from one template, ``_LINE``, and read back through its
-    pattern, ``_RECORD``.
+    index-layer, printer-subtree and printer-program runs, which older
+    versions stored, still load; the sweep just never asks for them.
+    Every line is written from one template, ``_LINE``, and read back
+    through its pattern, ``_RECORD``.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -281,8 +280,8 @@ class RunLedger:
         return len(self._mem)
 
 
-# The code of the literal printer, whose one program per x is the seed
-# _producers runs: the sweep never grows its subtree.
+# The code of the literal printer, whose one program per x _producers
+# adds from its closed form: the sweep never grows its subtree.
 _PRINTER = encode_index(PRINT_INDEX)
 
 
@@ -317,9 +316,8 @@ class DepthLab:
 
     ``_sweeps`` holds one entry per (budget, aux): the sweep table, its
     exact halters grouped by output and the staircases of each string
-    queried.  Every query reads that entry and runs nothing through the
-    ledger but the literal-printer seed of each string queried, the only
-    source of printer programs.
+    queried.  Every query reads that entry and runs nothing: only
+    ``sweep`` runs programs and adds them to the ledger.
     """
 
     ledger: RunLedger = field(default_factory=RunLedger)
@@ -336,7 +334,7 @@ class DepthLab:
 
         It is rooted at the code <i> of every non-diverger machine i with
         |<i>| <= min(L, D) (:func:`prefixvm.machine_starts`) except the
-        literal printer, whose programs ``_producers`` seeds; the index
+        literal printer, whose programs ``_producers`` adds; the index
         layer around those codes is derived, never run.  Below each root
         the table holds, length by length, the two children of every
         tape-exhausted entry, each run through the ledger for <= D steps.
@@ -386,13 +384,13 @@ class DepthLab:
     def _producers(self, x: str, budget: Budget, aux: str) -> dict[str, PrefixRunResult]:
         """Programs whose run halts with output x: the (budget, aux)
         sweep's exact halters for x, and the literal printer's one program
-        for x, which the sweep never holds, run through the ledger at any
-        length.  The caller has built the sweep."""
+        for x, which the sweep never holds, at any length.  Its run is not
+        executed: it halts with output x in ``print_steps(x)`` steps on
+        any aux.  The caller has built the sweep."""
         out = dict(self._sweeps[budget, aux][1].get(x, {}))
-        seed = print_program(x)
-        r = self.ledger.run(seed, aux, budget.max_steps)
-        if _exact(seed, r) and r.output == x:
-            out[seed] = r
+        if print_steps(x) <= budget.max_steps:
+            seed = print_program(x)
+            out[seed] = PrefixRunResult(HALTED, seed, x, print_steps(x))
         return out
 
     def _staircases(self, x: str, budget: Budget, aux: str) -> _Staircases:

@@ -284,6 +284,13 @@ def validate_machine(m: Machine) -> ValidationReport:
     return ValidationReport(m.name, tuple(errors), tuple(conflicts), unreachable)
 
 
+def check_valid(m: Machine) -> None:
+    """Raise MachineError naming why ``validate_machine`` rejects ``m``."""
+    report = validate_machine(m)
+    if not report.ok:
+        raise MachineError(f"machine {m.name!r} invalid: {report.problems}")
+
+
 # ---------------------------------------------------------------------------
 # Execution
 

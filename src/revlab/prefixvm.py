@@ -44,6 +44,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .machines import (  # the outcome names are re-exported
@@ -530,18 +531,18 @@ def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
 
 @lru_cache(maxsize=None)
 def _described(max_len: int) -> tuple[tuple[str, Machine], ...]:
-    # Only a builtin or a general-grammar description can name a machine
-    # other than the diverger (see enumerate_machine): skip the rest
-    # undecoded.
-    out = []
-    for desc in all_bit_strings((max_len - 2) // 2) if max_len >= 2 else ():
-        if desc not in builtin_machines() and not desc.startswith(_GENERAL_PREFIX):
-            continue
-        i = index_of_string(desc)
-        m = enumerate_machine(i)
-        if not is_diverger(m):
-            out.append((encode_index(i), m))
-    return tuple(out)
+    # Only a builtin or a general-grammar description "111" + body can
+    # name a machine other than the diverger (see enumerate_machine), so
+    # no other description is built.  Those whose code fits max_len come
+    # in (length, lexicographic) order: the builtins, then each body.
+    longest = (max_len - 2) // 2  # |<i>| = 2|desc| + 2
+    out = [(desc, m) for desc, m in builtin_machines().items() if len(desc) <= longest]
+    for n in range(longest - len(_GENERAL_PREFIX) + 1):
+        for body in map("".join, product("01", repeat=n)):
+            m = _parse_general(body)
+            if m is not None:
+                out.append((_GENERAL_PREFIX + body, m))
+    return tuple((encode_index(index_of_string(desc)), m) for desc, m in out)
 
 
 def resume_run(paused: PausedRun, bits: str,
@@ -654,12 +655,3 @@ def print_steps(x: str) -> int:
     """Steps of the run of ``print_program(x)``, on any aux: it halts
     within a budget D exactly when ``print_steps(x) <= D``."""
     return 4 * len(x) + 7
-
-
-def all_bit_strings(max_len: int) -> list[str]:
-    out = [""]
-    layer = [""]
-    for _ in range(max_len):
-        layer = [w + b for w in layer for b in "01"]
-        out.extend(layer)
-    return out

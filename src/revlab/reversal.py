@@ -68,6 +68,7 @@ from .machines import (
     RuleConflict,
     RunResult,
     ShiftRule,
+    check_valid,
     range_conflicts,
     rule_states,
     run_from,
@@ -111,9 +112,7 @@ def verify_reversible(m: Machine) -> ReversibilityReport:
     iff the machine is backward deterministic.  Cached per machine, so
     that :func:`invert` of a transform's output does not check it again;
     an invalid machine raises on every call."""
-    report = validate_machine(m)
-    if not report.ok:
-        raise MachineError(f"machine {m.name!r} invalid: {report.problems}")
+    check_valid(m)
     return ReversibilityReport(m.name, tuple(range_conflicts(m.rules)))
 
 

@@ -7,10 +7,14 @@ benchmark's own smoke test.  The small and the full sweep-cold
 commands must still print the rows ``perfbench/expected.json`` holds for
 them, and the small interp-long runs must pass the benchmark's checks
 against that file, so a sweep or interpreter regression fails here too.
+The ledger-warm queries must give the answers the benchmark expects and
+leave the warm ledger as they found it.
 """
 
 import json
 from pathlib import Path
+
+import pytest
 
 import revlab
 import revlab.cli  # noqa: F401  (loads every layer module the tracer wraps)
@@ -60,6 +64,23 @@ def test_small_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
 def test_full_sweep_cold_matches_expected(monkeypatch, tmp_path, capsys):
     # The benchmark's own command and gate (L=16, about 25 ms).
     _check_sweep_cold(monkeypatch, tmp_path, capsys, "full", 16)
+
+
+@pytest.mark.parametrize("name", ["smoke", "full"])
+def test_ledger_warm_answers_without_writing_the_ledger(monkeypatch, tmp_path, name):
+    # The benchmark's own gate on every query's answer; queries run
+    # nothing, so the warm ledger keeps its size and line count.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    size = workloads.SIZES[name]
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    prep = workloads.prepare("ledger-warm", 7, size, tmp_path)
+    rep = workloads.Rep()
+    workloads.rep_ledger_warm(rep, size, 7, tmp_path, prep, expected)
+    assert rep.failures == []
+    assert rep.attempted == size.queries
+    assert rep.counts == workloads._ledger_counts(Path(prep["ledger"]).parent)
 
 
 def test_small_interp_long_matches_expected(monkeypatch, tmp_path):

@@ -73,17 +73,24 @@ def test_machine_negative_budget_is_rejected(capsys, corpus_dir, cmd):
     assert "budget must be >= 0" in captured.err
 
 
-def test_machine_run_rejects_nondeterministic_machine(capsys, tmp_path):
-    path = tmp_path / "nondet.tm"
-    path.write_text("machine nondet\ntapes 1\n"
-                    "alphabet 1 blank _ symbols _ 0 1\n"
-                    "states q0 q1\nstart q0\nhalt q1\n"
-                    "rule q0 0 -> 1 q1\nrule q0 / -> +1 q1\n")
-    assert main(["machine", "run", str(path), "--input", "0",
-                 "--budget", "10"]) == EXIT_INVALID
+@pytest.mark.parametrize("cmd", ["run", "trace"])
+@pytest.mark.parametrize("body, problems", [
+    ("rule s - -> - t\n", "rule 0 (s  ->  t): tuple arity != tape count"),
+    ("output-tape 7\nrule s 0 -> 1 t\n", "output tape 7 out of range"),
+    ("rule s 0 -> 1 t\nrule s / -> +1 t\n", "rules 0 and 1 overlap in state 's'"),
+], ids=["arity", "output-tape", "nondeterministic"])
+def test_machine_run_and_trace_validate_first(capsys, tmp_path, cmd, body, problems):
+    # Nothing runs and nothing is printed before validation, whose text is
+    # the one rev verify reports.
+    path = tmp_path / "bad.tm"
+    path.write_text("machine bad\ntapes 1\nalphabet 1 blank _ symbols _ 0 1\n"
+                    "states s t\nstart s\nhalt t\n" + body)
+    assert main(["machine", cmd, str(path), "--input", "0", "--budget", "10"]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not forward deterministic at state 'q0'" in captured.err
+    assert captured.err == f"error: machine 'bad' invalid: {problems}\n"
+    assert main(["rev", "verify", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == captured.err
 
 
 @pytest.mark.parametrize("tapes", [0, -1])
@@ -441,7 +448,8 @@ def test_ledger_line_that_is_no_run_record_fails_and_leaves_the_file(
 
 def test_cold_cli_runs_write_a_pinned_ledger(capsys, tmp_path):
     # Any change to the bytes of a ledger line, or to which runs are
-    # saved in which order, changes the file.
+    # saved in which order, changes the file.  Only the sweeps' runs are
+    # saved: queries take the printer's run from its closed form.
     common = ["--max-len", "12", "--budget", "100000", "--cache-dir", str(tmp_path)]
     for argv in (["depth", "table", "f", "--n-max", "4", "--variant", "reversible"],
                  ["depth", "table", "f", "--n-max", "4", "--variant", "general"],
@@ -449,9 +457,9 @@ def test_cold_cli_runs_write_a_pinned_ledger(capsys, tmp_path):
         assert main(argv + common) == EXIT_OK
     (path,) = tmp_path.iterdir()
     data = path.read_bytes()
-    assert data.count(b"\n") == 122
+    assert data.count(b"\n") == 90
     assert hashlib.sha256(data).hexdigest() == (
-        "f6f0a45adda46ec885983ff02204139cf55aa05eeb6843158db6ca86f9c6b9e8")
+        "61294a1af0f0597b95f2a19a11691be6b87f4837aef6b6a836bc65f29ef30958")
 
 
 @pytest.mark.parametrize("argv", [

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    bit_strings,
     naive_growth_rows,
     naive_k,
     naive_ld_general,
@@ -35,7 +36,6 @@ from revlab.prefixvm import (
     TAPE_EXHAUSTED,
     MalformedIndex,
     PrefixRunResult,
-    all_bit_strings,
     decode_index,
     encode_index,
     enumerate_machine,
@@ -191,7 +191,7 @@ def _general_listing(lab, budget, aux):
     """One line per x with |x| <= 4 and b <= |x| + 1: ld_b-gen(x) as
     (value, witness, flag) and x's b-incompressible set with its flag."""
     lines = []
-    for x in all_bit_strings(4):
+    for x in bit_strings(4):
         for b in range(len(x) + 2):
             rec = lab.logical_depth(x, b, budget, "gen", aux)
             inc = lab.incompressible_programs(x, b, budget, aux)
@@ -329,7 +329,7 @@ def test_f_table_finds_producers_once_per_string(monkeypatch, variant, aux):
     lab.f_table(4, budget, aux, variant)
     lab.psi_table(4, budget, aux)
     lab.phi_table(4, budget, aux)
-    assert set(calls) == {(x, aux) for x in all_bit_strings(4)}
+    assert set(calls) == {(x, aux) for x in bit_strings(4)}
     assert set(calls.values()) == {1}
 
 
@@ -343,7 +343,7 @@ def test_reversible_staircase_is_built_on_its_first_read(monkeypatch):
     lab, budget = DepthLab(), Budget(14, 100_000)
     lab.phi_table(4, budget)
     lab.f_table(4, budget, variant="general")
-    for x in all_bit_strings(4):
+    for x in bit_strings(4):
         lab.k_bounded(x, budget)
         lab.incompressible_programs(x, 0, budget)
     assert views == []
@@ -354,17 +354,35 @@ def test_reversible_staircase_is_built_on_its_first_read(monkeypatch):
     assert len(views) == built
 
 
-def test_general_variant_runs_one_printer_seed_per_string(monkeypatch):
-    # The sweep resumes runs and never calls universal_run, so every call
-    # is a printer seed: one per row string, none per producer.
+def test_queries_run_nothing(monkeypatch):
+    # The sweep resumes paused runs and is the only thing that runs: the
+    # printer's program comes from its closed form, so no query calls
+    # universal_run or RunLedger.run, and the ledger holds exactly the
+    # sweeps' runs.
     calls = []
-    run = depth.universal_run
-    monkeypatch.setattr(depth, "universal_run",
-                        lambda bits, aux, budget: calls.append(bits) or run(bits, aux, budget))
+
+    def counting(entry):
+        def run(*args):
+            calls.append(args)
+            return entry(*args)
+        return run
+
+    monkeypatch.setattr(depth, "universal_run", counting(depth.universal_run))
+    monkeypatch.setattr(RunLedger, "run", counting(RunLedger.run))
+    lab, budget = DepthLab(), Budget(26, 100_000)
+    for x, aux in product(("", "0", "000", "0110", "1" * 12), ("", "1011")):
+        lab.k_bounded(x, budget, aux)
+        lab.incompressible_programs(x, 1, budget, aux)
+        for variant in ("rev", "gen"):
+            lab.logical_depth(x, 1, budget, variant, aux)
+    assert len(lab.ledger) == len(lab.sweep(budget)) + len(lab.sweep(budget, "1011"))
     lab = DepthLab()
-    lab.f_table(8, Budget(20, 100_000), variant="general")
-    assert len(calls) == 511
-    assert sorted(calls) == sorted(print_program(x) for x in all_bit_strings(8))
+    lab.psi_table(10, budget)
+    lab.phi_table(10, budget)
+    lab.f_table(10, budget, variant="reversible")
+    lab.f_table(10, budget, variant="general")
+    assert calls == []
+    assert len(lab.ledger) == len(lab.sweep(budget)) == 102
 
 
 def test_values_keep_their_identities_where_budgets_bite():
@@ -377,10 +395,10 @@ def test_values_keep_their_identities_where_budgets_bite():
         budget, n_max = Budget(L, D), (L - 6) // 2
         psi = lab.psi_table(n_max, budget, aux)
         lds = {(x, v): [lab.logical_depth(x, b, budget, v, aux) for b in range(len(x) + 2)]
-               for x in all_bit_strings(n_max) for v in ("reversible", "general")}
+               for x in bit_strings(n_max) for v in ("reversible", "general")}
         for n in range(n_max + 1):
             want = None
-            for x in (x for x in all_bit_strings(n) if len(x) == n):
+            for x in (x for x in bit_strings(n) if len(x) == n):
                 ld0 = lds[x, "reversible"][0]
                 if isinstance(ld0, NoWitness):
                     want = (None, x, "", True)
@@ -389,7 +407,7 @@ def test_values_keep_their_identities_where_budgets_bite():
                     want = (ld0.ld, x, ld0.witness, False)
             row = psi.rows[n]
             assert (row.value, row.witness_x, row.witness_program, row.inconclusive) == want
-        for x in all_bit_strings(n_max):
+        for x in bit_strings(n_max):
             k = lab.k_bounded(x, budget, aux)
             if D >= print_steps(x):
                 assert k.k_upper <= 2 * len(x) + 6, (x, budget, aux)
@@ -643,7 +661,7 @@ def test_sweep_is_the_tree_of_executed_runs(budget, aux):
         assert r == universal_run(bits, aux, budget.max_steps)
 
     direct = {}
-    for bits in all_bit_strings(budget.max_len):
+    for bits in bit_strings(budget.max_len):
         r = universal_run(bits, aux, budget.max_steps)
         if r.outcome == HALTED and r.program == bits and not bits.startswith(PRINTER):
             direct[bits] = r
@@ -688,7 +706,7 @@ def test_sweep_finds_every_program_of_every_string(aux):
         for bits, r in DepthLab().exact_halters(Budget(max_len, d), aux).items():
             assert not bits.startswith(PRINTER), bits
             found.setdefault(r.output, {})[bits] = r
-        for x in all_bit_strings((max_len - len(PRINTER) - 2) // 2):
+        for x in bit_strings((max_len - len(PRINTER) - 2) // 2):
             seed = print_program(x)
             r = universal_run(seed, aux, d)
             if r.outcome == HALTED and r.program == seed:
@@ -1062,23 +1080,31 @@ def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
 
 def test_ledger_with_index_layer_runs_still_serves_the_sweep(tmp_path, monkeypatch):
     # Ledgers written before the sweep was rooted at machine codes hold
-    # every run of the tree grown from "", index layer included.
-    budget = Budget(12, 3000)
+    # every run of the tree grown from "", index layer included, and
+    # those written before queries took the printer's run from its closed
+    # form hold printer programs of any length.
+    budget, printed = Budget(12, 3000), ("0", "0110", "1011001")
     old = RunLedger(tmp_path)
     for bits in _tree_from_scratch(budget, ""):
         old.run(bits, "", budget.max_steps)
+    for x in printed:
+        old.run(print_program(x), "", budget.max_steps)
     old.save()
     (path,) = tmp_path.iterdir()
     size = path.stat().st_size
-    cold = DepthLab().sweep(budget)
+    lab = DepthLab()
+    cold = lab.sweep(budget)
+    records = [lab.k_bounded(x, budget) for x in printed]
 
     def no_run(*args):
         raise AssertionError(f"unexpected run {args}")
 
     monkeypatch.setattr("revlab.depth.resume_run", no_run)
+    monkeypatch.setattr("revlab.depth.universal_run", no_run)
     warm = DepthLab(ledger=RunLedger(tmp_path))
     assert len(warm.ledger) > len(cold)
     assert list(warm.sweep(budget).items()) == list(cold.items())
+    assert [warm.k_bounded(x, budget) for x in printed] == records
     warm.ledger.save()
     assert path.stat().st_size == size
 
@@ -1100,16 +1126,20 @@ def test_k_upper_within_log_bound_up_to_len_eight(lab):
 
 @pytest.mark.parametrize("aux", ["", "1011"])
 def test_producers_index_matches_scan(aux):
-    # _producers reads the exact halters grouped by output; a scan over
-    # all exact halters must give the same programs in the same order.
+    # _producers reads the exact halters grouped by output and takes the
+    # printer's run from its closed form; a scan over all exact halters
+    # plus the printer's real run must give the same programs, results
+    # and order, at D one step short of that run, at its length, and far
+    # beyond it.
     lab = DepthLab()
-    budget = Budget(12, 3000)
-    halters = lab.exact_halters(budget, aux)
-    for x in all_bit_strings(4):
-        scan = {p: r for p, r in halters.items() if r.output == x}
-        seed = print_program(x)
-        r = lab.ledger.run(seed, aux, budget.max_steps)
-        if r.outcome == HALTED and r.program == seed and r.output == x:
-            scan[seed] = r
-        assert list(lab._producers(x, budget, aux).items()) == \
-            list(scan.items()), x
+    for max_len, x in product((8, 14), bit_strings(8)):
+        for steps in (print_steps(x) - 1, print_steps(x), 100_000):
+            budget = Budget(max_len, steps)
+            scan = {p: r for p, r in lab.exact_halters(budget, aux).items()
+                    if r.output == x}
+            seed = print_program(x)
+            r = universal_run(seed, aux, steps)
+            if r.outcome == HALTED and r.program == seed and r.output == x:
+                scan[seed] = r
+            assert list(lab._producers(x, budget, aux).items()) == \
+                list(scan.items()), (x, budget)

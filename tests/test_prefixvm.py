@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from oracles import prefix_free_check
+from oracles import bit_strings, prefix_free_check
 from revlab.corpus import corpus, corpus_entry
 from revlab.machines import (
     Alphabet,
@@ -35,7 +35,6 @@ from revlab.prefixvm import (
     _parse_general,
     _prefix_machine,
     aux_copy_machine,
-    all_bit_strings,
     builtin_machines,
     copy3_machine,
     decode_index,
@@ -86,7 +85,7 @@ def test_decode_index_matches_reading_pair_by_pair():
             desc += pair[0]
         return None
 
-    for bits in all_bit_strings(12):
+    for bits in bit_strings(12):
         try:
             got = decode_index(bits)
         except MalformedIndex as exc:
@@ -208,7 +207,7 @@ def test_run_prefix_matches_honest_stepping():
     outcomes = set()
     cases = 0
     for m in machines:
-        for bits in all_bit_strings(6):
+        for bits in bit_strings(6):
             for aux in ("", "1011"):
                 for budget in (0, 1, 2, 7, 400):
                     r = run_prefix(m, bits, aux, budget)
@@ -302,7 +301,7 @@ def test_spin_fast_path_matches_honest_stepping():
     for m, max_len in machines:
         for aux in ("", "1011"):
             ref = {}
-            for bits in all_bit_strings(max_len):
+            for bits in bit_strings(max_len):
                 parent = ref.get(bits[:-1]) if bits else None
                 if parent is not None and parent[400][0] != TAPE_EXHAUSTED:
                     ref[bits] = parent
@@ -556,8 +555,9 @@ def test_serialize_enumerate_roundtrip_behaviour():
 
 
 def test_described_matches_decoding_every_description():
-    for max_len in range(21):
-        descs = all_bit_strings((max_len - 2) // 2) if max_len >= 2 else ()
+    # The reference: decode every description whose code fits max_len.
+    for max_len in range(27):
+        descs = bit_strings((max_len - 2) // 2) if max_len >= 2 else ()
         want = [(encode_index(i), m) for i in map(index_of_string, descs)
                 if not is_diverger(m := enumerate_machine(i))]
         assert _described(max_len) == tuple(want), max_len
@@ -651,7 +651,7 @@ def test_universal_copy3_composition():
 def test_universal_print_convention():
     # The printer's run of x halts in print_steps(x) steps on any aux, and
     # not a step earlier.
-    for x, aux in product(all_bit_strings(8), ("", "1011")):
+    for x, aux in product(bit_strings(8), ("", "1011")):
         p = print_program(x)
         assert len(p) == 2 * len(x) + 6
         assert print_steps(x) == 4 * len(x) + 7
@@ -699,7 +699,7 @@ def test_universal_budget_cases():
 
 
 def test_universal_determinism_including_steps():
-    for bits in all_bit_strings(8):
+    for bits in bit_strings(8):
         a = universal_run(bits, "", 500)
         b = universal_run(bits, "", 500)
         assert a == b
@@ -711,7 +711,7 @@ def test_universal_run_fingerprint():
     h = hashlib.sha256()
     for budget in (0, 1, 2, 3, 4, 5, 8, 17, 100, 3000):
         for aux in ("", "1011"):
-            for bits in all_bit_strings(10):
+            for bits in bit_strings(10):
                 r = universal_run(bits, aux, budget)
                 h.update(f"{bits}|{aux}|{budget}|{r.outcome}|{r.program}|"
                          f"{r.output}|{r.steps}\n".encode())
@@ -769,7 +769,7 @@ def test_universal_aux_conditional():
 # --- reversible interpreter ------------------------------------------------------------
 
 def test_reversible_pairs_every_halting_run():
-    for bits in all_bit_strings(9):
+    for bits in bit_strings(9):
         u = universal_run(bits, "", 2000)
         r = universal_reversible_run(bits, "", 200_000)
         if u.outcome == HALTED:

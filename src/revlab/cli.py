@@ -74,11 +74,9 @@ class Emitter:
         sys.stdout.write(json.dumps(envelope, sort_keys=True) + "\n")
 
 
-def _load_machine(path: str) -> Machine | QuintupleMachine:
-    return parse_machine(Path(path).read_text())
-
-
-def _as_quadruple(m: Machine | QuintupleMachine) -> Machine:
+def _load_machine(path: str) -> Machine:
+    """The quadruple machine in a machine file; quintuples are normalised."""
+    m = parse_machine(Path(path).read_text())
     return normalize_to_quadruples(m) if isinstance(m, QuintupleMachine) else m
 
 
@@ -95,13 +93,13 @@ def _config_payload(c) -> dict:
 
 
 def cmd_machine_validate(args, out: Emitter) -> int:
-    report = validate_machine(_as_quadruple(_load_machine(args.file)))
+    report = validate_machine(_load_machine(args.file))
     out.emit(report)
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
 def cmd_machine_run(args, out: Emitter) -> int:
-    m = _as_quadruple(_load_machine(args.file))
+    m = _load_machine(args.file)
     check_valid(m)
     result = run(m, args.input, args.budget)
     out.emit({
@@ -114,7 +112,7 @@ def cmd_machine_run(args, out: Emitter) -> int:
 
 
 def cmd_machine_trace(args, out: Emitter) -> int:
-    m = _as_quadruple(_load_machine(args.file))
+    m = _load_machine(args.file)
     check_valid(m)
     for c in trace_run(m, args.input, args.budget):
         out.emit(_config_payload(c))
@@ -125,14 +123,13 @@ def cmd_machine_trace(args, out: Emitter) -> int:
 
 
 def cmd_rev_verify(args, out: Emitter) -> int:
-    report = verify_reversible(_as_quadruple(_load_machine(args.file)))
+    report = verify_reversible(_load_machine(args.file))
     out.emit(report)
     return EXIT_OK if report.reversible else EXIT_INVALID
 
 
 def cmd_rev_compile(args, out: Emitter) -> int:
-    m = _as_quadruple(_load_machine(args.file))
-    bm = bennett_transform(m)
+    bm = bennett_transform(_load_machine(args.file))
     text = serialize_machine(bm.machine)
     if args.output:
         Path(args.output).write_text(text)
@@ -147,7 +144,7 @@ def cmd_rev_compile(args, out: Emitter) -> int:
 
 
 def cmd_rev_reverse(args, out: Emitter) -> int:
-    m = _as_quadruple(_load_machine(args.file))
+    m = _load_machine(args.file)
     config = parse_configuration(Path(args.from_config).read_text())
     result = run_reverse(m, config, args.budget)
     out.emit({
@@ -198,7 +195,7 @@ def cmd_univ_check_prefix(args, out: Emitter) -> int:
     order for a program that prefixes the next, and the literal
     printer's programs <2>(bb)*01 that fit L and halt within D, counted
     and not run: that family is prefix-free by its code and shares no
-    prefix with the sweep, which never holds <2>."""
+    prefix with the sweep, whose roots (``machine_starts``) leave <2> out."""
     check_binary(args.aux, "aux")
     budget = _budget(args)
     lab = DepthLab()

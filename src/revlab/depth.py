@@ -8,9 +8,8 @@ D steps never halts.  The machinery:
     (universal digest, bits, aux, D): an append-only JSONL file holding
     only the runs actually executed, which are the sweeps' runs;
   * one cache entry per (L, D, aux): the sweep, the tree of machine runs
-    rooted at the code <i> of every non-diverger machine i with
-    |<i>| <= min(L, D) other than the literal printer, grown by running
-    both children of every tape-exhausted run, each for up to D steps, down
+    rooted at ``machine_starts(min(L, D), aux)``, grown by running both
+    children of every tape-exhausted run, each for up to D steps, down
     to length L, and stored with its exactly-consumed halting runs
     grouped by output.  The index layer (prefixes of codes, malformed
     pairs, indices naming the diverger) is fixed by the code alone, so
@@ -22,11 +21,12 @@ D steps never halts.  The machinery:
     until both children have run and are never persisted.  Every query
     reads its producers from that index; a string extending a halted or
     budget-exceeded run is never a program and is not stored;
-  * the literal printer is never swept or run: its only program for x,
-    ``print_program(x)``, of any length, is a producer of x whenever its
-    closed-form running time ``print_steps(x)`` fits D.  The general
-    variant admits a producer by reading the empty-aux sweep alone, so
-    queries run nothing and write no ledger line.
+  * the literal printer, which ``machine_starts`` leaves out, is never
+    run: its only program for x, ``print_program(x)``, of any length, is
+    a producer of x whenever its closed-form running time
+    ``print_steps(x)`` fits D.  The general variant admits a producer by
+    reading the empty-aux sweep alone, so queries run nothing and write
+    no ledger line.
 
 A bit string is a program for x only when its run halts having scanned
 precisely that string.  Every value is a read of x's (length, steps)
@@ -48,11 +48,9 @@ from typing import Optional
 from .prefixvm import (
     BUDGET_EXCEEDED,
     HALTED,
-    PRINT_INDEX,
     TAPE_EXHAUSTED,
     PausedRun,
     PrefixRunResult,
-    encode_index,
     machine_starts,
     print_program,
     print_steps,
@@ -153,12 +151,11 @@ class RunLedger:
     (bits, aux, budget) and the stored value the full result.  Only runs
     this ledger executed (misses in ``run`` and ``extend``) are
     persisted, and the sweep's table holds nothing but machine runs,
-    rooted at the code of each machine but the diverger and the literal
-    printer: the index layer is derived, never run.  A resumed run is
-    stored like any other; its paused run is not, so the children of a
-    hit resume the paused run the hit was asked with.  Lines of
-    index-layer, printer-subtree and printer-program runs, which older
-    versions stored, still load; the sweep just never asks for them.
+    rooted at ``machine_starts``: the index layer is derived, never run.
+    A resumed run is stored like any other; its paused run is not, so the
+    children of a hit resume the paused run the hit was asked with.
+    Lines of index-layer, printer-subtree and printer-program runs, which
+    older versions stored, still load; the sweep just never asks for them.
     Every line is written from one template, ``_LINE``, and read back
     through its pattern, ``_RECORD``.
     """
@@ -280,11 +277,6 @@ class RunLedger:
         return len(self._mem)
 
 
-# The code of the literal printer, whose one program per x _producers
-# adds from its closed form: the sweep never grows its subtree.
-_PRINTER = encode_index(PRINT_INDEX)
-
-
 def check_binary(x: str, what: str = "string") -> None:
     if x.strip("01"):
         raise ValueError(f"{what} must be binary, got {x!r}")
@@ -332,12 +324,11 @@ class DepthLab:
     def sweep(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
         """The tree of machine runs over bit strings of length <= L.
 
-        It is rooted at the code <i> of every non-diverger machine i with
-        |<i>| <= min(L, D) (:func:`prefixvm.machine_starts`) except the
-        literal printer, whose programs ``_producers`` adds; the index
-        layer around those codes is derived, never run.  Below each root
-        the table holds, length by length, the two children of every
-        tape-exhausted entry, each run through the ledger for <= D steps.
+        Its roots are ``machine_starts(min(L, D), aux)``
+        (:func:`prefixvm.machine_starts`); the index layer around their
+        codes is derived, never run.  Below each root the table holds,
+        length by length, the two children of every tape-exhausted
+        entry, each run through the ledger for <= D steps.
         A string extending a run that halted or exceeded the budget runs
         identically (the machine never looks at the extension) and is
         never a program, so it is not stored.  A root or child missing
@@ -352,8 +343,7 @@ class DepthLab:
         """
         if (budget, aux) not in self._sweeps:
             check_binary(aux, "aux")
-            roots = [root for root in machine_starts(min(budget.max_len, budget.max_steps),
-                                                     aux) if root[0] != _PRINTER]
+            roots = machine_starts(min(budget.max_len, budget.max_steps), aux)
             table = {}
             layer: list = []  # (bits, its parent's paused run), one length
             for n in range(budget.max_len + 1):
@@ -375,7 +365,8 @@ class DepthLab:
 
     def exact_halters(self, budget: Budget, aux: str = "") -> dict[str, PrefixRunResult]:
         """Halting runs of the sweep that consumed exactly their bit
-        string: every program of length <= L except the printer's."""
+        string: every program of length <= L whose code <i> is a root's
+        (:func:`prefixvm.machine_starts`)."""
         return {bits: r for bits, r in self.sweep(budget, aux).items()
                 if _exact(bits, r)}
 

@@ -36,6 +36,8 @@ from .machines import (
     ReadWriteRule,
     Rule,
     ShiftRule,
+    fmt_moves,
+    fmt_tuple,
 )
 
 
@@ -179,14 +181,6 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
     return Machine(rules=tuple(quad_rules), **common)
 
 
-def _fmt_tuple(items: tuple[str, ...]) -> str:
-    return ",".join(items) if items else "-"
-
-
-def _fmt_moves(moves: tuple[int, ...]) -> str:
-    return ",".join(f"{m:+d}" if m else "0" for m in moves) if moves else "-"
-
-
 def serialize_machine(m: Machine | QuintupleMachine) -> str:
     lines = [f"machine {m.name}", f"tapes {m.tape_count}"]
     for t, a in enumerate(m.alphabets, start=1):
@@ -199,20 +193,17 @@ def serialize_machine(m: Machine | QuintupleMachine) -> str:
         lines.append(f"output-tape {m.output_tape}")
     for r in m.rules:
         if isinstance(r, QuintupleRule):
-            lines.append(f"quintuple {r.from_state} {_fmt_tuple(r.reads)} -> "
-                         f"{_fmt_tuple(r.writes)} {_fmt_moves(r.moves)} {r.to_state}")
-        elif isinstance(r, ShiftRule):
-            lines.append(f"rule {r.from_state} / -> {_fmt_moves(r.moves)} {r.to_state}")
+            lines.append(f"quintuple {r.from_state} {fmt_tuple(r.reads)} -> "
+                         f"{fmt_tuple(r.writes)} {fmt_moves(r.moves)} {r.to_state}")
         else:
-            lines.append(f"rule {r.from_state} {_fmt_tuple(r.reads)} -> "
-                         f"{_fmt_tuple(r.writes)} {r.to_state}")
+            lines.append(f"rule {r.describe()}")
     return "\n".join(lines) + "\n"
 
 
 def serialize_configuration(c: Configuration) -> str:
     lines = [f"state {c.state}", f"steps {c.steps}"]
     for t, (tape, head) in enumerate(zip(c.tapes, c.heads), start=1):
-        lines.append(f"tape {t} head {head} cells {_fmt_tuple(tape)}")
+        lines.append(f"tape {t} head {head} cells {fmt_tuple(tape)}")
     return "\n".join(lines) + "\n"
 
 

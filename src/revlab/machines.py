@@ -45,6 +45,16 @@ class Alphabet:
         return Alphabet(frozenset(symbols) | {blank}, blank)
 
 
+def fmt_tuple(items: tuple[str, ...]) -> str:
+    """A symbol tuple as machine files write it: comma-joined, or "-"."""
+    return ",".join(items) if items else "-"
+
+
+def fmt_moves(moves: tuple[int, ...]) -> str:
+    """A shift tuple as machine files write it: signed, or "-"."""
+    return ",".join(f"{m:+d}" if m else "0" for m in moves) if moves else "-"
+
+
 @dataclass(frozen=True)
 class ReadWriteRule:
     from_state: str
@@ -53,8 +63,9 @@ class ReadWriteRule:
     to_state: str
 
     def describe(self) -> str:
-        return (f"{self.from_state} {','.join(self.reads)} -> "
-                f"{','.join(self.writes)} {self.to_state}")
+        """The rule's machine-file line without its ``rule`` keyword."""
+        return (f"{self.from_state} {fmt_tuple(self.reads)} -> "
+                f"{fmt_tuple(self.writes)} {self.to_state}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +75,8 @@ class ShiftRule:
     to_state: str
 
     def describe(self) -> str:
-        moves = ",".join(f"{m:+d}" if m else "0" for m in self.moves)
-        return f"{self.from_state} / -> {moves} {self.to_state}"
+        """The rule's machine-file line without its ``rule`` keyword."""
+        return f"{self.from_state} / -> {fmt_moves(self.moves)} {self.to_state}"
 
 
 Rule = Union[ReadWriteRule, ShiftRule]

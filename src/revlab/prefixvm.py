@@ -32,10 +32,12 @@ whole budget.  Machine i runs as a paused run resumed on the bits
 (``resume_run``): a run that exhausts them pauses again, and resuming
 it on longer bits gives the result of running those from scratch.
 ``machine_starts`` lists the runs about to begin right after each code
-<i> of a non-diverger.  The reversible counterpart reports the step
-count the Bennett transform of the interpreter would take, using the
-transform's own construction constants, and pairs the program with the
-output.
+<i> of a machine other than the diverger and the literal printer: the
+sweep's roots.  The printer needs no run, since ``print_program`` and
+``print_steps`` give its program for x and that program's running time.
+The reversible counterpart reports the step count the Bennett transform
+of the interpreter would take, using the transform's own construction
+constants, and pairs the program with the output.
 """
 
 from __future__ import annotations
@@ -253,6 +255,10 @@ COPY3_INDEX = 3
 SLOW_ZEROS_INDEX = 4
 SLOW_ONES_INDEX = 5
 AUX_COPY_INDEX = 6
+
+# The literal printer's code <2>: every printer program starts with it,
+# and no sweep root has it.
+_PRINT_CODE = encode_index(PRINT_INDEX)
 
 _GENERAL_PREFIX = "111"
 
@@ -517,16 +523,20 @@ def _fresh(m: Machine, aux: str, index_len: int) -> PausedRun:
 
 def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
     """(<i>, machine i about to start on ``aux``) for every i whose code
-    has at most ``max_len`` bits and whose machine is not the diverger,
-    in (length, lexicographic) order of the codes.
+    has at most ``max_len`` bits and whose machine is neither the
+    diverger nor the literal printer, in (length, lexicographic) order
+    of the codes: the roots of the sweep.
 
     Every other string of the index layer is fixed by the code alone: a
     prefix of some <i> is tape-exhausted, and a malformed pair or an
-    index naming the diverger spins out.  Resuming a start on a string
+    index naming the diverger spins out.  The printer is left out because
+    its programs have a closed form: ``print_program(x)`` halts with
+    output x in ``print_steps(x)`` steps.  Resuming a start on a string
     beginning with its code gives :func:`universal_run`'s result for it
     at any budget of at least ``len(<i>)`` steps.
     """
-    return [(code, _fresh(m, aux, len(code))) for code, m in _described(max_len)]
+    return [(code, _fresh(m, aux, len(code))) for code, m in _described(max_len)
+            if code != _PRINT_CODE]
 
 
 @lru_cache(maxsize=None)
@@ -648,7 +658,7 @@ def universal_reversible_run(bits: str, aux: str = "",
 
 def print_program(x: str) -> str:
     """Program making the literal printer output x."""
-    return encode_index(PRINT_INDEX) + "".join(c + c for c in x) + "01"
+    return _PRINT_CODE + "".join(c + c for c in x) + "01"
 
 
 def print_steps(x: str) -> int:

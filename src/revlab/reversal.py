@@ -154,17 +154,9 @@ def invert(m: Machine) -> Machine:
 
 
 @dataclass(frozen=True)
-class StagePartition:
-    compute: frozenset[str]
-    copy: frozenset[str]
-    retrace: frozenset[str]
-
-
-@dataclass(frozen=True)
 class BennettMachine:
     machine: Machine
     source_digest: str
-    stage_states: StagePartition
 
 
 def source_digest(m: Machine | QuintupleMachine) -> str:
@@ -305,30 +297,26 @@ def bennett_transform(m: Machine) -> BennettMachine:
     out_alpha = Alphabet(frozenset(symbols), blank)
     HB = HIST_BLANK
 
-    def rw(frm: str, reads: tuple[str, str, str],
-           writes: tuple[str, str, str], to: str) -> Rule:
-        return ReadWriteRule(frm, reads, writes, to)
-
-    def sh(frm: str, moves: tuple[int, int, int], to: str) -> Rule:
-        return ShiftRule(frm, moves, to)
-
     forward: list[Rule] = []   # compute + halt-detect + walk (gets inverted)
     copy_rules: list[Rule] = []
 
     # --- stage 1: compute ------------------------------------------------
     for q in sorted(m.states, key=lambda s: state_ix[s]):
-        forward.append(sh(C(q), (0, 1, 0), Cp(q)))
+        forward.append(ShiftRule(C(q), (0, 1, 0), Cp(q)))
     for j, r in enumerate(rules):
         q, q2 = r.from_state, r.to_state
         if isinstance(r, ReadWriteRule):
             a, b = r.reads[0], r.writes[0]
-            forward.append(rw(Cp(q), (a, HB, blank), (b, hsym(j), blank), C(q2)))
+            forward.append(ReadWriteRule(Cp(q), (a, HB, blank),
+                                         (b, hsym(j), blank), C(q2)))
         else:
             for s in symbols:
-                forward.append(rw(Cp(q), (s, HB, blank), (s, hsym(j), blank), M1(j)))
-            forward.append(sh(M1(j), (delta(j), 0, 0), N1(j)))
+                forward.append(ReadWriteRule(Cp(q), (s, HB, blank),
+                                             (s, hsym(j), blank), M1(j)))
+            forward.append(ShiftRule(M1(j), (delta(j), 0, 0), N1(j)))
             for s in symbols:
-                forward.append(rw(N1(j), (s, hsym(j), blank), (s, hsym(j), blank), C(q2)))
+                forward.append(ReadWriteRule(N1(j), (s, hsym(j), blank),
+                                             (s, hsym(j), blank), C(q2)))
 
     # --- halt detection ---------------------------------------------------
     # From Cp(q), any read the source has no rule for diverts into the walk.
@@ -342,8 +330,8 @@ def bennett_transform(m: Machine) -> BennettMachine:
             continue
         halting_states.append(q)
         for s in unmatched:
-            forward.append(rw(Cp(q), (s, HB, blank), (s, HB, blank), W0(q)))
-        forward.append(sh(W0(q), (0, -1, 0), W1(q)))
+            forward.append(ReadWriteRule(Cp(q), (s, HB, blank), (s, HB, blank), W0(q)))
+        forward.append(ShiftRule(W0(q), (0, -1, 0), W1(q)))
 
     # --- stage 2a: walk (ghost retrace of head movement) ------------------
     copy_tags: dict[str, list[int | None]] = {}
@@ -353,23 +341,23 @@ def bennett_transform(m: Machine) -> BennettMachine:
         reach = walk_reach(tops)
         for j in tops:
             for s in symbols:
-                forward.append(rw(W1(q), (s, hsym(j), blank),
-                                  (s, htop(j), blank), V(j, q)))
+                forward.append(ReadWriteRule(W1(q), (s, hsym(j), blank),
+                                             (s, htop(j), blank), V(j, q)))
         for j in reach:
-            forward.append(sh(V(j, q), (-delta(j), -1, 0), V2(j, q)))
+            forward.append(ShiftRule(V(j, q), (-delta(j), -1, 0), V2(j, q)))
             for k in preds[j]:
                 for s in symbols:
-                    forward.append(rw(V2(j, q), (s, hsym(k), blank),
-                                      (s, hpair(k, j), blank), V(k, q)))
+                    forward.append(ReadWriteRule(V2(j, q), (s, hsym(k), blank),
+                                                 (s, hpair(k, j), blank), V(k, q)))
             if rules[j].from_state == m.start_state:
                 for s in symbols:
-                    forward.append(rw(V2(j, q), (s, HB, blank),
-                                      (s, HB, blank), P0(q, j)))
+                    forward.append(ReadWriteRule(V2(j, q), (s, HB, blank),
+                                                 (s, HB, blank), P0(q, j)))
                 tags.append(j)
         if q == m.start_state:
             for s in symbols:
-                forward.append(rw(W1(q), (s, HB, blank),
-                                  (s, HB, blank), P0(q, None)))
+                forward.append(ReadWriteRule(W1(q), (s, HB, blank),
+                                             (s, HB, blank), P0(q, None)))
             tags.append(None)
         copy_tags[q] = tags
 
@@ -378,21 +366,22 @@ def bennett_transform(m: Machine) -> BennettMachine:
         for jj in copy_tags[q]:
             p0, ps, pl, pm, pr = (P0(q, jj), PS(q, jj), PL(q, jj),
                                   Pm(q, jj), PR(q, jj))
-            copy_rules.append(rw(p0, (blank, HB, blank),
-                                 (blank, HB, blank), prime(p0)))
+            copy_rules.append(ReadWriteRule(p0, (blank, HB, blank),
+                                            (blank, HB, blank), prime(p0)))
             for s in plain:
-                copy_rules.append(rw(p0, (s, HB, blank),
-                                     (_zero_mark(s), HB, s), ps))
-                copy_rules.append(rw(pl, (s, HB, blank),
-                                     (_work_mark(s), HB, s), ps))
-            copy_rules.append(sh(ps, (1, 0, 1), pl))
-            copy_rules.append(rw(pl, (blank, HB, blank), (blank, HB, blank), pm))
-            copy_rules.append(sh(pm, (-1, 0, 0), pr))
+                copy_rules.append(ReadWriteRule(p0, (s, HB, blank),
+                                                (_zero_mark(s), HB, s), ps))
+                copy_rules.append(ReadWriteRule(pl, (s, HB, blank),
+                                                (_work_mark(s), HB, s), ps))
+            copy_rules.append(ShiftRule(ps, (1, 0, 1), pl))
+            copy_rules.append(ReadWriteRule(pl, (blank, HB, blank),
+                                            (blank, HB, blank), pm))
+            copy_rules.append(ShiftRule(pm, (-1, 0, 0), pr))
             for s in plain:
-                copy_rules.append(rw(pr, (_work_mark(s), HB, blank),
-                                     (s, HB, blank), pm))
-                copy_rules.append(rw(pr, (_zero_mark(s), HB, blank),
-                                     (s, HB, blank), prime(p0)))
+                copy_rules.append(ReadWriteRule(pr, (_work_mark(s), HB, blank),
+                                                (s, HB, blank), pm))
+                copy_rules.append(ReadWriteRule(pr, (_zero_mark(s), HB, blank),
+                                                (s, HB, blank), prime(p0)))
 
     # --- stage 3: retrace (inverted forward rules on primed states) -------
     retrace = [invert_rule(r, prime) for r in forward]
@@ -400,14 +389,6 @@ def bennett_transform(m: Machine) -> BennettMachine:
     all_rules = tuple(forward + copy_rules + retrace)
     start = C(m.start_state)
     states, _ = rule_states(all_rules, (start,))
-
-    compute_states = frozenset(
-        s for s in states
-        if s.startswith(("c", "w0.", "w1.")) and not s.startswith("r."))
-    copy_states = frozenset(
-        s for s in states
-        if s.startswith(("v", "u", "p")) and not s.startswith("r."))
-    retrace_states = frozenset(s for s in states if s.startswith("r."))
 
     machine = Machine(
         name=f"{m.name}_rev",
@@ -418,17 +399,12 @@ def bennett_transform(m: Machine) -> BennettMachine:
         rules=all_rules,
         output_tape=3,
     )
-    bm = BennettMachine(
-        machine=machine,
-        source_digest=source_digest(m),
-        stage_states=StagePartition(compute_states, copy_states, retrace_states),
-    )
     rep = verify_reversible(machine)
     if not rep.reversible:
         raise ReversibilityError(
             f"internal error: transform of {m.name!r} is not reversible",
             rep.conflicts)
-    return bm
+    return BennettMachine(machine, source_digest(m))
 
 
 def run_reverse(machine: BennettMachine | Machine, final: Configuration,

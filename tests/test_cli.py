@@ -75,7 +75,7 @@ def test_machine_negative_budget_is_rejected(capsys, corpus_dir, cmd):
 
 @pytest.mark.parametrize("cmd", ["run", "trace"])
 @pytest.mark.parametrize("body, problems", [
-    ("rule s - -> - t\n", "rule 0 (s  ->  t): tuple arity != tape count"),
+    ("rule s - -> - t\n", "rule 0 (s - -> - t): tuple arity != tape count"),
     ("output-tape 7\nrule s 0 -> 1 t\n", "output tape 7 out of range"),
     ("rule s 0 -> 1 t\nrule s / -> +1 t\n", "rules 0 and 1 overlap in state 's'"),
 ], ids=["arity", "output-tape", "nondeterministic"])

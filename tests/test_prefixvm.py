@@ -26,6 +26,7 @@ from revlab.prefixvm import (
     BUDGET_EXCEEDED,
     HALT_INDEX,
     HALTED,
+    PRINT_INDEX,
     SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
@@ -44,6 +45,7 @@ from revlab.prefixvm import (
     halt_machine,
     index_of_string,
     is_diverger,
+    machine_starts,
     print_machine,
     print_program,
     print_steps,
@@ -556,11 +558,18 @@ def test_serialize_enumerate_roundtrip_behaviour():
 
 def test_described_matches_decoding_every_description():
     # The reference: decode every description whose code fits max_len.
+    # The sweep's roots are the same machines but the printer, in the
+    # same order, each about to start just past its code.
     for max_len in range(27):
         descs = bit_strings((max_len - 2) // 2) if max_len >= 2 else ()
         want = [(encode_index(i), m) for i in map(index_of_string, descs)
                 if not is_diverger(m := enumerate_machine(i))]
         assert _described(max_len) == tuple(want), max_len
+        starts = machine_starts(max_len, "")
+        assert [(code, start.machine) for code, start in starts] == \
+            [(code, m) for code, m in want if code != encode_index(PRINT_INDEX)], max_len
+        assert all(start.scanned == start.steps == len(code)
+                   for code, start in starts), max_len
 
 
 def test_distinct_descriptions_distinct_rule_sets():

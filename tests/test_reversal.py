@@ -250,13 +250,6 @@ def test_flipper_rev_exact_step_count():
     assert result.steps == 57
 
 
-def test_stage_states_partition():
-    bm = bennett_transform(corpus_entry("flipper").machine)
-    parts = (bm.stage_states.compute, bm.stage_states.copy, bm.stage_states.retrace)
-    assert frozenset().union(*parts) == bm.machine.states
-    assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
-
-
 # --- run_reverse ----------------------------------------------------------------
 
 def test_reverse_from_initial_configuration_is_identity():

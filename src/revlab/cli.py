@@ -195,7 +195,9 @@ def cmd_univ_check_prefix(args, out: Emitter) -> int:
     order for a program that prefixes the next, and the literal
     printer's programs <2>(bb)*01 that fit L and halt within D, counted
     and not run: that family is prefix-free by its code and shares no
-    prefix with the sweep, whose roots (``machine_starts``) leave <2> out."""
+    prefix with the sweep, whose roots (``machine_starts``) leave <2> out.
+    ``runs`` is the size of the sweep table, whose slow-repeater records
+    come from their closed form (``slow_subtrees``) and were never run."""
     check_binary(args.aux, "aux")
     budget = _budget(args)
     lab = DepthLab()

@@ -18,9 +18,13 @@ D steps never halts.  The machinery:
     with one more program bit, so no step of a shared prefix is
     simulated twice; a child of a ledger hit resumes the run its parent
     resumed, which paused on a shorter prefix.  Paused runs live only
-    until both children have run and are never persisted.  Every query
-    reads its producers from that index; a string extending a halted or
-    budget-exceeded run is never a program and is not stored;
+    until both children have run and are never persisted.  The slow
+    repeaters, which ``machine_starts`` leaves out, are never run: their
+    subtrees' records come from the closed form of their running times,
+    ``slow_subtrees(L, D)``, built once per (L, D) in a process, and
+    write no ledger line.  Every query reads its producers from that
+    index; a string extending a halted or budget-exceeded run is never a
+    program and is not stored;
   * the literal printer, which ``machine_starts`` leaves out, is never
     run: its only program for x, ``print_program(x)``, of any length, is
     a producer of x whenever its closed-form running time
@@ -56,6 +60,7 @@ from .prefixvm import (
     print_steps,
     resume_run,
     reversible_view,
+    slow_subtrees,
     universal_machine,
     universal_run,
 )
@@ -150,12 +155,14 @@ class RunLedger:
     Hits are bit-identical to recomputation: the key is the exact query
     (bits, aux, budget) and the stored value the full result.  Only runs
     this ledger executed (misses in ``run`` and ``extend``) are
-    persisted, and the sweep's table holds nothing but machine runs,
-    rooted at ``machine_starts``: the index layer is derived, never run.
-    A resumed run is stored like any other; its paused run is not, so the
-    children of a hit resume the paused run the hit was asked with.
-    Lines of index-layer, printer-subtree and printer-program runs, which
-    older versions stored, still load; the sweep just never asks for them.
+    persisted: the sweep's runs of machines rooted at ``machine_starts``.
+    The index layer is derived and the slow repeaters' records come from
+    their closed form, so neither is run or stored.  A resumed run is
+    stored like any other; its paused run is not, so the children of a
+    hit resume the paused run the hit was asked with.  Lines of
+    index-layer, printer-subtree, printer-program and slow-repeater
+    runs, which older versions stored, still load; the sweep just never
+    asks for them.
     Every line is written from one template, ``_LINE``, and read back
     through its pattern, ``_RECORD``.
     """
@@ -328,7 +335,9 @@ class DepthLab:
         (:func:`prefixvm.machine_starts`); the index layer around their
         codes is derived, never run.  Below each root the table holds,
         length by length, the two children of every tape-exhausted
-        entry, each run through the ledger for <= D steps.
+        entry, each run through the ledger for <= D steps.  The slow
+        repeaters' subtrees, ``slow_subtrees(L, D)``, join the table
+        length by length in their places, with no run and no ledger line.
         A string extending a run that halted or exceeded the budget runs
         identically (the machine never looks at the extension) and is
         never a program, so it is not stored.  A root or child missing
@@ -344,17 +353,19 @@ class DepthLab:
         if (budget, aux) not in self._sweeps:
             check_binary(aux, "aux")
             roots = machine_starts(min(budget.max_len, budget.max_steps), aux)
+            closed = slow_subtrees(budget.max_len, budget.max_steps)
             table = {}
             layer: list = []  # (bits, its parent's paused run), one length
             for n in range(budget.max_len + 1):
                 layer = sorted(layer + [root for root in roots if len(root[0]) == n],
                                key=itemgetter(0))
-                grown = []
+                grown, row = [], list(closed[n])
                 for bits, parent in layer:
                     r, paused = self.ledger.extend(bits, aux, budget.max_steps, parent)
-                    table[bits] = r
+                    row.append((bits, r))
                     if r.outcome == TAPE_EXHAUSTED and n < budget.max_len:
                         grown += ((bits + "0", paused), (bits + "1", paused))
+                table.update(sorted(row, key=itemgetter(0)))
                 layer = grown
             by_output: dict[str, dict[str, PrefixRunResult]] = {}
             for bits, r in table.items():

@@ -32,9 +32,12 @@ whole budget.  Machine i runs as a paused run resumed on the bits
 (``resume_run``): a run that exhausts them pauses again, and resuming
 it on longer bits gives the result of running those from scratch.
 ``machine_starts`` lists the runs about to begin right after each code
-<i> of a machine other than the diverger and the literal printer: the
-sweep's roots.  The printer needs no run, since ``print_program`` and
-``print_steps`` give its program for x and that program's running time.
+<i> of a machine other than the diverger, the literal printer and the
+two slow repeaters: the sweep's roots.  Those three need no run.
+``print_program`` and ``print_steps`` give the printer's program for x
+and that program's running time, and ``slow_subtrees`` gives every
+record the sweep would hold under the slow repeaters' codes, from their
+closed-form running times (docs/universal-machine.md).
 The reversible counterpart reports the step count the Bennett transform
 of the interpreter would take, using the transform's own construction
 constants, and pairs the program with the output.
@@ -46,7 +49,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from typing import Iterable, NamedTuple
 
 from .machines import (  # the outcome names are re-exported
@@ -256,9 +259,10 @@ SLOW_ZEROS_INDEX = 4
 SLOW_ONES_INDEX = 5
 AUX_COPY_INDEX = 6
 
-# The literal printer's code <2>: every printer program starts with it,
-# and no sweep root has it.
+# The literal printer's code <2> and the slow repeaters' <4> and <5>:
+# their runs have closed forms, so no sweep root has them.
 _PRINT_CODE = encode_index(PRINT_INDEX)
+_SLOW_CODES = {encode_index(SLOW_ZEROS_INDEX): "0", encode_index(SLOW_ONES_INDEX): "1"}
 
 _GENERAL_PREFIX = "111"
 
@@ -524,19 +528,21 @@ def _fresh(m: Machine, aux: str, index_len: int) -> PausedRun:
 def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
     """(<i>, machine i about to start on ``aux``) for every i whose code
     has at most ``max_len`` bits and whose machine is neither the
-    diverger nor the literal printer, in (length, lexicographic) order
-    of the codes: the roots of the sweep.
+    diverger, the literal printer nor a slow repeater, in (length,
+    lexicographic) order of the codes: the roots of the sweep.
 
     Every other string of the index layer is fixed by the code alone: a
     prefix of some <i> is tape-exhausted, and a malformed pair or an
-    index naming the diverger spins out.  The printer is left out because
-    its programs have a closed form: ``print_program(x)`` halts with
-    output x in ``print_steps(x)`` steps.  Resuming a start on a string
-    beginning with its code gives :func:`universal_run`'s result for it
-    at any budget of at least ``len(<i>)`` steps.
+    index naming the diverger spins out.  The printer and the slow
+    repeaters are left out because their runs have closed forms:
+    ``print_program(x)`` halts with output x in ``print_steps(x)``
+    steps, and ``slow_subtrees`` holds the slow repeaters' records.
+    Resuming a start on a string beginning with its code gives
+    :func:`universal_run`'s result for it at any budget of at least
+    ``len(<i>)`` steps.
     """
     return [(code, _fresh(m, aux, len(code))) for code, m in _described(max_len)
-            if code != _PRINT_CODE]
+            if code != _PRINT_CODE and code not in _SLOW_CODES]
 
 
 @lru_cache(maxsize=None)
@@ -665,3 +671,57 @@ def print_steps(x: str) -> int:
     """Steps of the run of ``print_program(x)``, on any aux: it halts
     within a budget D exactly when ``print_steps(x) <= D``."""
     return 4 * len(x) + 7
+
+
+def slow_steps(k: int) -> int:
+    """T(k), the steps of the run of <i>0^k1 for either slow repeater i,
+    on any aux: it halts with 2^(k+1) - 1 symbols of output."""
+    return (16 * 4 ** k + 18 * 2 ** k - 3 * k - 4) // 3
+
+
+def _slow_pause(k: int) -> int:
+    """E(k), the step at which the run of <i>0^k pauses for its next bit."""
+    return 6 if k == 0 else slow_steps(k) - 2 ** (k + 2) + 1
+
+
+@lru_cache(maxsize=256)
+def slow_subtrees(max_len: int, budget: int
+                  ) -> tuple[tuple[tuple[str, PrefixRunResult], ...], ...]:
+    """The records a sweep of (``max_len``, ``budget``) holds under the
+    slow repeaters' codes, derived from T(k) and E(k) without a run.
+    Entry n holds the (bits, result) pairs of length n in lexicographic
+    order.  Neither machine reads past aux cell 0 or writes the aux tape,
+    so the records hold on every aux.
+
+    A code is a root when it fits both bounds.  <i>0^k is tape-exhausted
+    at E(k) steps when that fits the budget and exceeds it otherwise;
+    only a tape-exhausted record shorter than ``max_len`` has children.
+    <i>0^k1 halts at T(k) when that fits the budget.  Otherwise it
+    exceeds the budget having written one symbol for every two steps
+    past step s, rounded up, where s = E(k), or 7 at k = 0, where the
+    machine first lays its one-cell block.  Each record's program is its
+    whole bit string.
+    """
+    rows: list[list[tuple[str, PrefixRunResult]]] = [[] for _ in range(max_len + 1)]
+    for code, emit in _SLOW_CODES.items():
+        if len(code) > min(max_len, budget):
+            continue
+        for k in count():
+            bits = code + "0" * k
+            pause = _slow_pause(k)
+            if pause > budget:
+                rows[len(bits)].append(
+                    (bits, PrefixRunResult(BUDGET_EXCEEDED, bits, "", budget)))
+                break
+            rows[len(bits)].append((bits, PrefixRunResult(TAPE_EXHAUSTED, bits, "", pause)))
+            if len(bits) == max_len:
+                break
+            if slow_steps(k) <= budget:
+                last = PrefixRunResult(HALTED, bits + "1", emit * (2 ** (k + 1) - 1),
+                                       slow_steps(k))
+            else:
+                written = -(((7 if k == 0 else pause) - budget) // 2)
+                last = PrefixRunResult(BUDGET_EXCEEDED, bits + "1",
+                                       emit * max(0, written), budget)
+            rows[len(bits) + 1].append((bits + "1", last))
+    return tuple(tuple(sorted(row)) for row in rows)

@@ -83,6 +83,29 @@ def test_ledger_warm_answers_without_writing_the_ledger(monkeypatch, tmp_path, n
     assert rep.counts == workloads._ledger_counts(Path(prep["ledger"]).parent)
 
 
+def test_ledger_warm_builds_the_closed_form_once_and_resumes_nothing(
+        monkeypatch, tmp_path):
+    # The benchmark's 12 full-size queries in one process, each a fresh
+    # lab on the warm ledger: the slow repeaters' records are built once,
+    # for the (L, D) of the fill sweep, every query's sweep reuses them,
+    # and no query resumes a run.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    depth, resumed = revlab.depth, []
+    size = workloads.SIZES["full"]
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    depth.slow_subtrees.cache_clear()
+    prep = workloads.prepare("ledger-warm", 7, size, tmp_path)
+    monkeypatch.setattr(depth, "resume_run", lambda *args: resumed.append(args))
+    rep = workloads.Rep()
+    workloads.rep_ledger_warm(rep, size, 7, tmp_path, prep, expected)
+    assert (rep.failures, rep.attempted) == ([], 12)
+    info = depth.slow_subtrees.cache_info()
+    assert (info.misses, info.hits) == (1, 12)
+    assert resumed == []
+
+
 def test_small_interp_long_matches_expected(monkeypatch, tmp_path):
     # Slow zeros and ones at k=3 (385 steps each), the 23 emulators, the
     # ones_doubler round trip on 1^8 (3,345 steps) and every other round

@@ -7,6 +7,7 @@ import re
 import threading
 from collections import Counter
 from dataclasses import astuple
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -33,9 +34,12 @@ from revlab.depth import (
 from revlab.prefixvm import (
     HALTED,
     PRINT_INDEX,
+    SLOW_ONES_INDEX,
+    SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
     PrefixRunResult,
+    _described,
     decode_index,
     encode_index,
     enumerate_machine,
@@ -52,6 +56,13 @@ QUICK = Budget(10, 3000)
 MID = Budget(12, 10_000)
 # The literal printer's code: the sweep never holds a string it starts.
 PRINTER = encode_index(PRINT_INDEX)
+SLOW = (encode_index(SLOW_ZEROS_INDEX), encode_index(SLOW_ONES_INDEX))
+
+
+def _executed(table) -> list[str]:
+    """The strings of a sweep table the sweep runs: all but the slow
+    repeaters' records, which come from their closed form."""
+    return [bits for bits in table if not bits.startswith(SLOW)]
 
 
 @pytest.fixture(scope="module")
@@ -358,7 +369,7 @@ def test_queries_run_nothing(monkeypatch):
     # The sweep resumes paused runs and is the only thing that runs: the
     # printer's program comes from its closed form, so no query calls
     # universal_run or RunLedger.run, and the ledger holds exactly the
-    # sweeps' runs.
+    # sweeps' executed runs.
     calls = []
 
     def counting(entry):
@@ -375,14 +386,16 @@ def test_queries_run_nothing(monkeypatch):
         lab.incompressible_programs(x, 1, budget, aux)
         for variant in ("rev", "gen"):
             lab.logical_depth(x, 1, budget, variant, aux)
-    assert len(lab.ledger) == len(lab.sweep(budget)) + len(lab.sweep(budget, "1011"))
+    assert len(lab.ledger) == len(_executed(lab.sweep(budget))) + \
+        len(_executed(lab.sweep(budget, "1011")))
     lab = DepthLab()
     lab.psi_table(10, budget)
     lab.phi_table(10, budget)
     lab.f_table(10, budget, variant="reversible")
     lab.f_table(10, budget, variant="general")
     assert calls == []
-    assert len(lab.ledger) == len(lab.sweep(budget)) == 102
+    assert len(lab.ledger) == len(_executed(lab.sweep(budget))) == 68
+    assert len(lab.sweep(budget)) == 102
 
 
 def test_values_keep_their_identities_where_budgets_bite():
@@ -715,7 +728,10 @@ def test_sweep_finds_every_program_of_every_string(aux):
         assert bool(every) == (d >= 4), d
 
 
-def test_cold_sweep_never_resumes_the_printer(monkeypatch):
+def test_cold_sweep_never_resumes_a_closed_form(monkeypatch):
+    # The printer's programs are never in the table; the slow repeaters'
+    # 34 records are, but come from their closed form, so the sweep
+    # resumes only the other 20 strings.
     resumed = []
 
     def recording(paused, bits, budget):
@@ -724,10 +740,54 @@ def test_cold_sweep_never_resumes_the_printer(monkeypatch):
 
     monkeypatch.setattr("revlab.depth.resume_run", recording)
     table = DepthLab().sweep(Budget(16, 100_000))
-    assert len(table) == len(resumed) == 54
-    assert not [bits for bits in resumed if bits.startswith(PRINTER)]
+    assert resumed == _executed(table)
+    assert (len(table), len(resumed)) == (54, 20)
+    assert not [bits for bits in resumed if bits.startswith((PRINTER, *SLOW))]
     assert not [bits for bits in table if bits.startswith(PRINTER)]
     assert len(DepthLab().sweep(Budget(26, 100_000))) == 102
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_every_root_of_the_sweep_keeps_its_mass(aux):
+    # Kraft mass, in exact fractions: the leaves under each root (runs
+    # that halted or exceeded D, and runs tape-exhausted at length L)
+    # weigh what the root weighs, 2^-|root|, closed-form roots included.
+    # The roots are every code of _described but the printer's, so they
+    # weigh what those codes weigh.  A lost child or a missing root
+    # changes a sum.
+    lab = DepthLab()
+    for max_len, steps in product(range(27), (0, 6, 7, 40, 300, 100_000, 10 ** 9)):
+        table = lab.sweep(Budget(max_len, steps), aux)
+        codes = [code for code, _ in _described(min(max_len, steps)) if code != PRINTER]
+        mass = dict.fromkeys(codes, Fraction(0))
+        for bits, r in table.items():
+            if r.outcome != TAPE_EXHAUSTED or len(bits) == max_len:
+                (root,) = [code for code in codes if bits.startswith(code)]
+                mass[root] += Fraction(1, 2 ** len(bits))
+        assert mass == {code: Fraction(1, 2 ** len(code)) for code in codes}, \
+            (max_len, steps)
+        assert sum(mass.values()) == sum(Fraction(1, 2 ** len(c)) for c in codes)
+        assert set(codes) <= set(table), (max_len, steps)
+
+
+def test_a_large_budget_runs_no_slow_repeater(monkeypatch):
+    # At D = 10^9 the slow repeaters' programs would run for up to T(13),
+    # about 3.6 * 10^8 steps.  Their records come from the closed form, so
+    # the sweep resumes no string under their codes, and the psi, phi and
+    # f-rev rows are those at D = 10^5: no row there rests on a budget
+    # between the two.  The table grows by the records of k = 8 to 13.
+    resumed = []
+
+    def recording(paused, bits, budget):
+        resumed.append(bits)
+        return resume_run(paused, bits, budget)
+
+    monkeypatch.setattr("revlab.depth.resume_run", recording)
+    lab, small, large = DepthLab(), Budget(26, 100_000), Budget(26, 10 ** 9)
+    for table in (lab.psi_table, lab.phi_table, lab.f_table):
+        assert table(10, large).rows == table(10, small).rows, table.__name__
+    assert (len(lab.sweep(small)), len(lab.sweep(large))) == (102, 126)
+    assert not [bits for bits in resumed if bits.startswith(SLOW)]
 
 
 @pytest.mark.parametrize("method", ["sweep", "exact_halters"])
@@ -797,7 +857,7 @@ def test_ledger_lines_are_sorted_json(tmp_path, aux):
         lab.ledger.run("0001", "\u00e9\"", 10)
     lab.ledger.save()
     lines = lab.ledger.path.read_text().splitlines()
-    assert len(lines) == len(table)
+    assert len(lines) == len(_executed(table))
     for line in lines:
         assert line == json.dumps(json.loads(line), sort_keys=True)
     assert RunLedger(tmp_path)._mem == lab.ledger._mem
@@ -955,7 +1015,7 @@ def test_tail_left_under_a_loaded_ledger_is_settled_by_its_save(tmp_path, capsys
     assert capsys.readouterr().err == ""
     assert path.read_bytes().endswith(b"\n")
     assert fresh._mem == ({**second._mem, **third._mem} if whole else second._mem)
-    assert len(fresh) == len(lab.ledger) + 1 + whole == 22 + whole
+    assert len(fresh) == len(lab.ledger) + 1 + whole == 12 + whole
 
 
 def test_savers_racing_over_a_torn_tail_keep_a_loadable_file(tmp_path, monkeypatch):
@@ -1066,7 +1126,7 @@ def test_warm_sweep_executes_nothing(tmp_path, monkeypatch):
     cold.ledger.save()
     (path,) = tmp_path.iterdir()
     assert calls
-    assert len(table) == len(calls)
+    assert len(_executed(table)) == len(calls)
     assert path.read_text().count("\n") == len(calls)
 
     calls.clear()

@@ -27,6 +27,7 @@ from revlab.prefixvm import (
     HALT_INDEX,
     HALTED,
     PRINT_INDEX,
+    SLOW_ONES_INDEX,
     SLOW_ZEROS_INDEX,
     TAPE_EXHAUSTED,
     MalformedIndex,
@@ -35,6 +36,7 @@ from revlab.prefixvm import (
     _fresh,
     _parse_general,
     _prefix_machine,
+    _slow_pause,
     aux_copy_machine,
     builtin_machines,
     copy3_machine,
@@ -53,6 +55,8 @@ from revlab.prefixvm import (
     run_prefix,
     serialize_index,
     slow_repeater_machine,
+    slow_steps,
+    slow_subtrees,
     string_of_index,
     universal_machine,
     universal_reversible_run,
@@ -558,8 +562,10 @@ def test_serialize_enumerate_roundtrip_behaviour():
 
 def test_described_matches_decoding_every_description():
     # The reference: decode every description whose code fits max_len.
-    # The sweep's roots are the same machines but the printer, in the
-    # same order, each about to start just past its code.
+    # The sweep's roots are the same machines but the printer and the
+    # slow repeaters, in the same order, each about to start just past
+    # its code.
+    closed = {encode_index(i) for i in (PRINT_INDEX, SLOW_ZEROS_INDEX, SLOW_ONES_INDEX)}
     for max_len in range(27):
         descs = bit_strings((max_len - 2) // 2) if max_len >= 2 else ()
         want = [(encode_index(i), m) for i in map(index_of_string, descs)
@@ -567,7 +573,7 @@ def test_described_matches_decoding_every_description():
         assert _described(max_len) == tuple(want), max_len
         starts = machine_starts(max_len, "")
         assert [(code, start.machine) for code, start in starts] == \
-            [(code, m) for code, m in want if code != encode_index(PRINT_INDEX)], max_len
+            [(code, m) for code, m in want if code not in closed], max_len
         assert all(start.scanned == start.steps == len(code)
                    for code, start in starts), max_len
 
@@ -669,6 +675,41 @@ def test_universal_print_convention():
                 PrefixRunResult(HALTED, p, x, print_steps(x)), (x, aux, budget)
         assert universal_run(p, aux, print_steps(x) - 1).outcome == BUDGET_EXCEEDED, \
             (x, aux)
+
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_slow_subtrees_match_real_runs(aux):
+    # Each closed-form record of <i>0^k and <i>0^k1, for both slow
+    # repeaters and every k <= 9, equals the real run at budgets around
+    # E(k) and T(k), or is absent exactly when the sweep would not grow
+    # it: when its parent's run does not pause within the budget.  The
+    # real runs resume the run of <i>0^(k-1) paused at E(k-1), which
+    # gives universal_run's result (test_resumed_sweep_equals_runs_from_
+    # scratch), and a run that ends at step s is the same at every
+    # budget >= s, so only runs cut short by the budget are run again.
+    def real(start, bits, whole, budget):
+        if start.steps > budget:
+            return None
+        return whole if whole.steps <= budget else resume_run(start, bits, budget)[0]
+
+    assert [slow_steps(k) for k in range(4)] == [10, 31, 106, 385]
+    for index, emit in ((SLOW_ZEROS_INDEX, "0"), (SLOW_ONES_INDEX, "1")):
+        code = encode_index(index)
+        parent = _fresh(enumerate_machine(index), aux, len(code))
+        for k in range(10):
+            zeros, ones = code + "0" * k, code + "0" * k + "1"
+            paused_zeros, paused = resume_run(parent, zeros, 10 ** 9)
+            ones_run, _ = resume_run(paused, ones, 10 ** 9)
+            assert paused_zeros == PrefixRunResult(TAPE_EXHAUSTED, zeros, "", _slow_pause(k))
+            assert ones_run == PrefixRunResult(HALTED, ones, emit * (2 ** (k + 1) - 1),
+                                               slow_steps(k))
+            for budget in (_slow_pause(k) - 1, _slow_pause(k), _slow_pause(k) + 1,
+                           slow_steps(k) - 1, slow_steps(k), 100_000):
+                for bits, start, whole in ((zeros, parent, paused_zeros),
+                                           (ones, paused, ones_run)):
+                    got = dict(slow_subtrees(len(bits), budget)[len(bits)]).get(bits)
+                    assert got == real(start, bits, whole, budget), (bits, budget)
+            parent = paused
 
 
 def test_universal_malformed_index_diverges():

@@ -42,10 +42,9 @@ from .machines import (
     validate_machine,
 )
 from .prefixvm import (
+    closed_halters,
     enumerate_machine,
     is_diverger,
-    print_program,
-    print_steps,
     universal_machine,
     universal_reversible_run,
     universal_run,
@@ -192,25 +191,20 @@ def cmd_univ_enumerate(args, out: Emitter) -> int:
 def cmd_univ_check_prefix(args, out: Emitter) -> int:
     """Check that the halting programs of at most L bits form a prefix
     code.  They are the (L, D) sweep's exact halters, scanned in sorted
-    order for a program that prefixes the next, and the literal
-    printer's programs <2>(bb)*01 that fit L and halt within D, counted
-    and not run: that family is prefix-free by its code and shares no
-    prefix with the sweep, whose roots (``machine_starts``) leave <2> out.
-    ``runs`` is the size of the sweep table, whose slow-repeater records
-    come from their closed form (``slow_subtrees``) and were never run."""
+    order for a program that prefixes the next, and those no sweep holds,
+    counted by ``closed_halters(L, D)`` and not run
+    (docs/universal-machine.md shows they need no scan).  ``runs`` is
+    the size of the sweep table, closed-form records included."""
     check_binary(args.aux, "aux")
     budget = _budget(args)
     lab = DepthLab()
     halters = sorted(lab.exact_halters(budget, args.aux))
     violations = [[a, b] for a, b in zip(halters, halters[1:]) if b.startswith(a)]
-    printers = sum(2 ** n for n in range(budget.max_len + 1)
-                   if len(print_program("0" * n)) <= budget.max_len
-                   and print_steps("0" * n) <= budget.max_steps)
     out.emit({
         "max_len": budget.max_len,
         "budget": budget.max_steps,
         "runs": len(lab.sweep(budget, args.aux)),
-        "halting_programs": len(halters) + printers,
+        "halting_programs": len(halters) + closed_halters(budget.max_len, budget.max_steps),
         "violations": violations,
         "prefix_free": not violations,
     })

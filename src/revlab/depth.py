@@ -18,19 +18,15 @@ D steps never halts.  The machinery:
     with one more program bit, so no step of a shared prefix is
     simulated twice; a child of a ledger hit resumes the run its parent
     resumed, which paused on a shorter prefix.  Paused runs live only
-    until both children have run and are never persisted.  The slow
-    repeaters, which ``machine_starts`` leaves out, are never run: their
-    subtrees' records come from the closed form of their running times,
-    ``slow_subtrees(L, D)``, built once per (L, D) in a process, and
-    write no ledger line.  Every query reads its producers from that
-    index; a string extending a halted or budget-exceeded run is never a
-    program and is not stored;
-  * the literal printer, which ``machine_starts`` leaves out, is never
-    run: its only program for x, ``print_program(x)``, of any length, is
-    a producer of x whenever its closed-form running time
-    ``print_steps(x)`` fits D.  The general variant admits a producer by
-    reading the empty-aux sweep alone, so queries run nothing and write
-    no ledger line.
+    until both children have run and are never persisted.  Every query
+    reads its producers from that index; a string extending a halted or
+    budget-exceeded run is never a program and is not stored;
+  * the codes ``machine_starts`` leaves out, whose runs have closed
+    forms, are never run and write no ledger line: the table takes their
+    records from ``closed_subtrees(L, D)``, built once per (L, D) in a
+    process, and every query adds ``closed_producers(x, D)``.  The
+    general variant admits a producer by reading the empty-aux sweep
+    alone, so queries run nothing.
 
 A bit string is a program for x only when its run halts having scanned
 precisely that string.  Every value is a read of x's (length, steps)
@@ -55,12 +51,11 @@ from .prefixvm import (
     TAPE_EXHAUSTED,
     PausedRun,
     PrefixRunResult,
+    closed_producers,
+    closed_subtrees,
     machine_starts,
-    print_program,
-    print_steps,
     resume_run,
     reversible_view,
-    slow_subtrees,
     universal_machine,
     universal_run,
 )
@@ -156,8 +151,8 @@ class RunLedger:
     (bits, aux, budget) and the stored value the full result.  Only runs
     this ledger executed (misses in ``run`` and ``extend``) are
     persisted: the sweep's runs of machines rooted at ``machine_starts``.
-    The index layer is derived and the slow repeaters' records come from
-    their closed form, so neither is run or stored.  A resumed run is
+    The index layer is derived and the closed codes' records come from
+    ``closed_subtrees``, so neither is run or stored.  A resumed run is
     stored like any other; its paused run is not, so the children of a
     hit resume the paused run the hit was asked with.  Lines of
     index-layer, printer-subtree, printer-program and slow-repeater
@@ -335,9 +330,10 @@ class DepthLab:
         (:func:`prefixvm.machine_starts`); the index layer around their
         codes is derived, never run.  Below each root the table holds,
         length by length, the two children of every tape-exhausted
-        entry, each run through the ledger for <= D steps.  The slow
-        repeaters' subtrees, ``slow_subtrees(L, D)``, join the table
-        length by length in their places, with no run and no ledger line.
+        entry, each run through the ledger for <= D steps.  The
+        subtrees under the closed codes, ``closed_subtrees(L, D)``, join
+        the table length by length in their places, with no run and no
+        ledger line.
         A string extending a run that halted or exceeded the budget runs
         identically (the machine never looks at the extension) and is
         never a program, so it is not stored.  A root or child missing
@@ -353,7 +349,7 @@ class DepthLab:
         if (budget, aux) not in self._sweeps:
             check_binary(aux, "aux")
             roots = machine_starts(min(budget.max_len, budget.max_steps), aux)
-            closed = slow_subtrees(budget.max_len, budget.max_steps)
+            closed = closed_subtrees(budget.max_len, budget.max_steps)
             table = {}
             layer: list = []  # (bits, its parent's paused run), one length
             for n in range(budget.max_len + 1):
@@ -385,15 +381,11 @@ class DepthLab:
 
     def _producers(self, x: str, budget: Budget, aux: str) -> dict[str, PrefixRunResult]:
         """Programs whose run halts with output x: the (budget, aux)
-        sweep's exact halters for x, and the literal printer's one program
-        for x, which the sweep never holds, at any length.  Its run is not
-        executed: it halts with output x in ``print_steps(x)`` steps on
-        any aux.  The caller has built the sweep."""
-        out = dict(self._sweeps[budget, aux][1].get(x, {}))
-        if print_steps(x) <= budget.max_steps:
-            seed = print_program(x)
-            out[seed] = PrefixRunResult(HALTED, seed, x, print_steps(x))
-        return out
+        sweep's exact halters for x, and ``closed_producers(x, D)``, the
+        programs for x that the sweep never holds, at any length, which
+        are not run.  The caller has built the sweep."""
+        return {**self._sweeps[budget, aux][1].get(x, {}),
+                **closed_producers(x, budget.max_steps)}
 
     def _staircases(self, x: str, budget: Budget, aux: str) -> _Staircases:
         """x's staircases, built from one ``_producers`` call per (x,
@@ -432,26 +424,26 @@ class DepthLab:
         exhaustive.
 
         p is b-incompressible when no program for p is shorter than
-        |p| - b.  The printer's program for p has 2|p| + 6 bits, so only
-        the (budget, "") sweep's programs for p decide that, and nothing
-        is run: the excess is |p| less the shortest of them, or 0 when
-        there is none.  k(p) is exhaustive, as in ``k_bounded``, when the
-        sweep holds a program for p or the printer's has at most L + 1
-        bits and its run fits D."""
+        |p| - b.  No program in ``closed_producers(p, D)`` is shorter
+        than p, so only the (budget, "") sweep's programs for p decide
+        that, and nothing is run: the excess is |p| less the shortest of
+        them, or 0 when there is none.  k(p) is exhaustive, as in
+        ``k_bounded``, when the sweep holds a program for p or one of
+        ``closed_producers(p, D)`` has at most L + 1 bits."""
         self.sweep(budget)
         index = self._sweeps[budget, ""][1]
         excess = {p: len(p) - min(map(len, index[p])) if p in index else 0
                   for p in s.producers}
-        return excess, all(p in index or (len(print_program(p)) - 1 <= budget.max_len
-                                          and print_steps(p) <= budget.max_steps)
-                           for p in s.producers)
+        return excess, all(p in index or any(
+            len(q) <= budget.max_len + 1 for q in closed_producers(p, budget.max_steps))
+            for p in s.producers)
 
     def incompressible_programs(self, x: str, b: int, budget: Budget,
                                 aux: str = "") -> IncompressibleSet | NoWitness:
         """Producers p of x that are b-incompressible (see
         :meth:`_excess`), in (length, lexicographic) order.  The sweep
         decides admission exactly when |p| <= L + b + 1; a longer p, only
-        ever the printer's program for a long x, is admitted without a
+        ever one of ``closed_producers(x, D)``, is admitted without a
         decision."""
         if b < 0:
             raise ValueError("significance level must be >= 0")

@@ -32,12 +32,11 @@ whole budget.  Machine i runs as a paused run resumed on the bits
 (``resume_run``): a run that exhausts them pauses again, and resuming
 it on longer bits gives the result of running those from scratch.
 ``machine_starts`` lists the runs about to begin right after each code
-<i> of a machine other than the diverger, the literal printer and the
-two slow repeaters: the sweep's roots.  Those three need no run.
-``print_program`` and ``print_steps`` give the printer's program for x
-and that program's running time, and ``slow_subtrees`` gives every
-record the sweep would hold under the slow repeaters' codes, from their
-closed-form running times (docs/universal-machine.md).
+<i> of a machine other than the diverger and those whose runs have
+closed forms, the literal printer and the two slow repeaters: the
+sweep's roots.  Every fact about those two families is here, read
+through three names that name no family: ``closed_subtrees``,
+``closed_producers`` and ``closed_halters`` (docs/universal-machine.md).
 The reversible counterpart reports the step count the Bennett transform
 of the interpreter would take, using the transform's own construction
 constants, and pairs the program with the output.
@@ -260,9 +259,10 @@ SLOW_ONES_INDEX = 5
 AUX_COPY_INDEX = 6
 
 # The literal printer's code <2> and the slow repeaters' <4> and <5>:
-# their runs have closed forms, so no sweep root has them.
+# their runs have closed forms, so no sweep root has a code in _CLOSED_CODES.
 _PRINT_CODE = encode_index(PRINT_INDEX)
 _SLOW_CODES = {encode_index(SLOW_ZEROS_INDEX): "0", encode_index(SLOW_ONES_INDEX): "1"}
+_CLOSED_CODES = {_PRINT_CODE, *_SLOW_CODES}
 
 _GENERAL_PREFIX = "111"
 
@@ -527,22 +527,21 @@ def _fresh(m: Machine, aux: str, index_len: int) -> PausedRun:
 
 def machine_starts(max_len: int, aux: str) -> list[tuple[str, PausedRun]]:
     """(<i>, machine i about to start on ``aux``) for every i whose code
-    has at most ``max_len`` bits and whose machine is neither the
-    diverger, the literal printer nor a slow repeater, in (length,
-    lexicographic) order of the codes: the roots of the sweep.
+    has at most ``max_len`` bits and is not in ``_CLOSED_CODES``, and
+    whose machine is not the diverger, in (length, lexicographic) order
+    of the codes: the roots of the sweep.
 
     Every other string of the index layer is fixed by the code alone: a
     prefix of some <i> is tape-exhausted, and a malformed pair or an
-    index naming the diverger spins out.  The printer and the slow
-    repeaters are left out because their runs have closed forms:
-    ``print_program(x)`` halts with output x in ``print_steps(x)``
-    steps, and ``slow_subtrees`` holds the slow repeaters' records.
+    index naming the diverger spins out.  The closed codes are left out
+    because their runs have closed forms: ``closed_subtrees``,
+    ``closed_producers`` and ``closed_halters`` stand for them.
     Resuming a start on a string beginning with its code gives
     :func:`universal_run`'s result for it at any budget of at least
     ``len(<i>)`` steps.
     """
     return [(code, _fresh(m, aux, len(code))) for code, m in _described(max_len)
-            if code != _PRINT_CODE and code not in _SLOW_CODES]
+            if code not in _CLOSED_CODES]
 
 
 @lru_cache(maxsize=None)
@@ -684,11 +683,25 @@ def _slow_pause(k: int) -> int:
     return 6 if k == 0 else slow_steps(k) - 2 ** (k + 2) + 1
 
 
+def closed_producers(x: str, budget: int) -> dict[str, PrefixRunResult]:
+    """{program: result} for the programs for x, each longer than x, that
+    no sweep table holds, on any aux: the printer's, if it fits ``budget``."""
+    p, steps = print_program(x), print_steps(x)
+    return {p: PrefixRunResult(HALTED, p, x, steps)} if steps <= budget else {}
+
+
+def closed_halters(max_len: int, budget: int) -> int:
+    """How many halting programs of at most ``max_len`` bits within
+    ``budget`` no sweep table holds, on any aux: the printer's, 2^n for
+    each n with 2n + 6 <= ``max_len`` and 4n + 7 <= ``budget``."""
+    return 2 ** max(0, min((max_len - 6) // 2, (budget - 7) // 4) + 1) - 1
+
+
 @lru_cache(maxsize=256)
-def slow_subtrees(max_len: int, budget: int
-                  ) -> tuple[tuple[tuple[str, PrefixRunResult], ...], ...]:
+def closed_subtrees(max_len: int, budget: int
+                    ) -> tuple[tuple[tuple[str, PrefixRunResult], ...], ...]:
     """The records a sweep of (``max_len``, ``budget``) holds under the
-    slow repeaters' codes, derived from T(k) and E(k) without a run.
+    closed codes: the slow repeaters', from T(k) and E(k) without a run.
     Entry n holds the (bits, result) pairs of length n in lexicographic
     order.  Neither machine reads past aux cell 0 or writes the aux tape,
     so the records hold on every aux.

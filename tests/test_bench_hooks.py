@@ -95,13 +95,13 @@ def test_ledger_warm_builds_the_closed_form_once_and_resumes_nothing(
     depth, resumed = revlab.depth, []
     size = workloads.SIZES["full"]
     expected = json.loads((PERFBENCH / "expected.json").read_text())
-    depth.slow_subtrees.cache_clear()
+    depth.closed_subtrees.cache_clear()
     prep = workloads.prepare("ledger-warm", 7, size, tmp_path)
     monkeypatch.setattr(depth, "resume_run", lambda *args: resumed.append(args))
     rep = workloads.Rep()
     workloads.rep_ledger_warm(rep, size, 7, tmp_path, prep, expected)
     assert (rep.failures, rep.attempted) == ([], 12)
-    info = depth.slow_subtrees.cache_info()
+    info = depth.closed_subtrees.cache_info()
     assert (info.misses, info.hits) == (1, 12)
     assert resumed == []
 

@@ -244,6 +244,16 @@ def test_check_prefix_counts_printer_programs_without_running_them(
     assert payload["prefix_free"] is True
 
 
+def test_check_prefix_counts_closed_halters_in_linear_time(capsys):
+    # At L = 100,000 and D = 10 the sweep holds 5 halters and the printer
+    # adds its one program of 7 steps, "110101".  A count that builds the
+    # printer's program for every length up to L is quadratic in L.
+    rc, lines, _ = run_cli(capsys, [
+        "univ", "check-prefix", "--max-len", "100000", "--budget", "10"])
+    assert rc == EXIT_OK
+    assert lines[0]["payload"]["halting_programs"] == 6
+
+
 def test_check_prefix_reports_a_program_that_prefixes_another(capsys, monkeypatch):
     # A sweep whose halters are no prefix code, as a broken interpreter
     # that re-reads its bits would give.

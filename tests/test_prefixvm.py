@@ -1,10 +1,14 @@
 """Program-tape semantics, the enumeration, and the universal interpreter."""
 
+import ast
 import hashlib
-from itertools import product
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import revlab
 from oracles import bit_strings, prefix_free_check
 from revlab.corpus import corpus, corpus_entry
 from revlab.machines import (
@@ -39,6 +43,9 @@ from revlab.prefixvm import (
     _slow_pause,
     aux_copy_machine,
     builtin_machines,
+    closed_halters,
+    closed_producers,
+    closed_subtrees,
     copy3_machine,
     decode_index,
     diverger_machine,
@@ -56,7 +63,6 @@ from revlab.prefixvm import (
     serialize_index,
     slow_repeater_machine,
     slow_steps,
-    slow_subtrees,
     string_of_index,
     universal_machine,
     universal_reversible_run,
@@ -663,30 +669,35 @@ def test_universal_copy3_composition():
     assert result.output == "101"
 
 
-def test_universal_print_convention():
-    # The printer's run of x halts in print_steps(x) steps on any aux, and
-    # not a step earlier.
-    for x, aux in product(bit_strings(8), ("", "1011")):
-        p = print_program(x)
-        assert len(p) == 2 * len(x) + 6
-        assert print_steps(x) == 4 * len(x) + 7
-        for budget in (print_steps(x), 100_000):
-            assert universal_run(p, aux, budget) == \
-                PrefixRunResult(HALTED, p, x, print_steps(x)), (x, aux, budget)
-        assert universal_run(p, aux, print_steps(x) - 1).outcome == BUDGET_EXCEEDED, \
-            (x, aux)
-
-
 @pytest.mark.parametrize("aux", ["", "1011"])
-def test_slow_subtrees_match_real_runs(aux):
-    # Each closed-form record of <i>0^k and <i>0^k1, for both slow
-    # repeaters and every k <= 9, equals the real run at budgets around
-    # E(k) and T(k), or is absent exactly when the sweep would not grow
-    # it: when its parent's run does not pause within the budget.  The
-    # real runs resume the run of <i>0^(k-1) paused at E(k-1), which
+def test_closed_forms_match_real_runs(aux):
+    # Every closed form against the real runs it stands for.
+    #
+    # The printer: for every x of at most 8 bits, print_program(x) has
+    # 2|x| + 6 bits and halts with output x in print_steps(x) = 4|x| + 7
+    # steps, and not a step earlier; closed_producers(x, D) holds exactly
+    # that run when it fits D.
+    for x in bit_strings(8):
+        p = print_program(x)
+        assert (len(p), print_steps(x)) == (2 * len(x) + 6, 4 * len(x) + 7)
+        for budget in (print_steps(x) - 1, print_steps(x), 100_000):
+            r = universal_run(p, aux, budget)
+            if budget < print_steps(x):
+                assert (r.outcome, closed_producers(x, budget)) == (BUDGET_EXCEEDED, {}), x
+            else:
+                assert r == PrefixRunResult(HALTED, p, x, print_steps(x)), (x, budget)
+                assert closed_producers(x, budget) == {p: r}, (x, budget)
+
+    # The slow repeaters: each record of <i>0^k and <i>0^k1 in
+    # closed_subtrees, for every k <= 9, equals the real run at budgets
+    # around E(k) and T(k), or is absent exactly when the sweep would not
+    # grow it: when its parent's run does not pause within the budget.
+    # The real runs resume the run of <i>0^(k-1) paused at E(k-1), which
     # gives universal_run's result (test_resumed_sweep_equals_runs_from_
-    # scratch), and a run that ends at step s is the same at every
-    # budget >= s, so only runs cut short by the budget are run again.
+    # scratch), and a run that ends at step s is the same at every budget
+    # >= s, so only runs cut short by the budget are run again.  Their
+    # programs are in the sweep's table, so closed_producers never holds
+    # one.
     def real(start, bits, whole, budget):
         if start.steps > budget:
             return None
@@ -707,9 +718,31 @@ def test_slow_subtrees_match_real_runs(aux):
                            slow_steps(k) - 1, slow_steps(k), 100_000):
                 for bits, start, whole in ((zeros, parent, paused_zeros),
                                            (ones, paused, ones_run)):
-                    got = dict(slow_subtrees(len(bits), budget)[len(bits)]).get(bits)
+                    got = dict(closed_subtrees(len(bits), budget)[len(bits)]).get(bits)
                     assert got == real(start, bits, whole, budget), (bits, budget)
+                assert ones not in closed_producers(ones_run.output, budget)
             parent = paused
+
+    # closed_halters: the printer's programs of at most L bits that halt
+    # within D, counted over every x with 2|x| + 6 <= 40.
+    runs = Counter((len(print_program(x)), print_steps(x)) for x in bit_strings(17))
+    for budget in (0, 6, 7, 10, 11, 38, 39, 75, 100_000):
+        for max_len in range(41):
+            want = sum(c for (n, steps), c in runs.items() if n <= max_len and steps <= budget)
+            assert closed_halters(max_len, budget) == want, (max_len, budget)
+
+
+def test_depth_and_cli_name_no_closed_form_family():
+    # The facts about the printer and the slow repeaters live in prefixvm
+    # alone: depth and cli import only the generic closed_* names.
+    family = re.compile(r"print_.*|slow_.*|_PRINT_CODE|_SLOW_CODES|PRINT_INDEX|SLOW_.*_INDEX")
+    for module in ("depth.py", "cli.py"):
+        tree = ast.parse((Path(revlab.__file__).parent / module).read_text())
+        names = [alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "prefixvm"
+                 for alias in node.names]
+        assert names, module
+        assert [n for n in names if family.fullmatch(n)] == [], module
 
 
 def test_universal_malformed_index_diverges():

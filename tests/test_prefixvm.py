@@ -4,6 +4,7 @@ import ast
 import hashlib
 import re
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -669,25 +670,26 @@ def test_universal_copy3_composition():
     assert result.output == "101"
 
 
-@pytest.mark.parametrize("aux", ["", "1011"])
-def test_closed_forms_match_real_runs(aux):
-    # Every closed form against the real runs it stands for.
-    #
-    # The printer: for every x of at most 8 bits, print_program(x) has
-    # 2|x| + 6 bits and halts with output x in print_steps(x) = 4|x| + 7
-    # steps, and not a step earlier; closed_producers(x, D) holds exactly
-    # that run when it fits D.
-    for x in bit_strings(8):
+def test_universal_print_convention():
+    # The printer: for every x of at most 8 bits, on any aux,
+    # print_program(x) has 2|x| + 6 bits and halts with output x in
+    # print_steps(x) = 4|x| + 7 steps, and not a step earlier;
+    # closed_producers(x, D) holds exactly that run when it fits D.
+    for x, aux in product(bit_strings(8), ("", "1011")):
         p = print_program(x)
         assert (len(p), print_steps(x)) == (2 * len(x) + 6, 4 * len(x) + 7)
         for budget in (print_steps(x) - 1, print_steps(x), 100_000):
             r = universal_run(p, aux, budget)
             if budget < print_steps(x):
-                assert (r.outcome, closed_producers(x, budget)) == (BUDGET_EXCEEDED, {}), x
+                assert (r.outcome, closed_producers(x, budget)) == (BUDGET_EXCEEDED, {}), \
+                    (x, aux)
             else:
-                assert r == PrefixRunResult(HALTED, p, x, print_steps(x)), (x, budget)
-                assert closed_producers(x, budget) == {p: r}, (x, budget)
+                assert r == PrefixRunResult(HALTED, p, x, print_steps(x)), (x, aux, budget)
+                assert closed_producers(x, budget) == {p: r}, (x, aux, budget)
 
+
+@pytest.mark.parametrize("aux", ["", "1011"])
+def test_slow_subtrees_match_real_runs(aux):
     # The slow repeaters: each record of <i>0^k and <i>0^k1 in
     # closed_subtrees, for every k <= 9, equals the real run at budgets
     # around E(k) and T(k), or is absent exactly when the sweep would not
@@ -723,6 +725,8 @@ def test_closed_forms_match_real_runs(aux):
                 assert ones not in closed_producers(ones_run.output, budget)
             parent = paused
 
+
+def test_closed_halters_count_printer_runs():
     # closed_halters: the printer's programs of at most L bits that halt
     # within D, counted over every x with 2|x| + 6 <= 40.
     runs = Counter((len(print_program(x)), print_steps(x)) for x in bit_strings(17))

@@ -8,12 +8,13 @@ D steps never halts.  The machinery:
     (universal digest, bits, aux, D): an append-only JSONL file holding
     only the runs actually executed, which are the sweeps' runs;
   * one cache entry per (L, D, aux): the sweep, the tree of machine runs
-    rooted at ``machine_starts(min(L, D), aux)``, grown by running both
-    children of every tape-exhausted run, each for up to D steps, down
-    to length L, and stored with its exactly-consumed halting runs
-    grouped by output.  The index layer (prefixes of codes, malformed
-    pairs, indices naming the diverger) is fixed by the code alone, so
-    it is derived, never run, stored or persisted.  A root starts its
+    rooted at ``machine_starts(min(L, D), aux)``, grown in canonical
+    order by running both children of every tape-exhausted run, each
+    for up to D steps, down to length L, and stored with its
+    exactly-consumed halting runs grouped by output.  The index layer
+    (prefixes of codes, malformed pairs, indices naming the diverger) is
+    fixed by the code alone, so it is derived, never run, stored or
+    persisted.  A root starts its
     machine right after <i>, and a child resumes its parent's paused run
     with one more program bit, so no step of a shared prefix is
     simulated twice; a child of a ledger hit resumes the run its parent
@@ -41,7 +42,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Optional
 
@@ -289,6 +290,11 @@ def _exact(bits: str, r: PrefixRunResult) -> bool:
     return r.outcome == HALTED and r.program == bits
 
 
+def _canonical(item: tuple[str, object]) -> tuple[int, str]:
+    """Sort key of a (bits, ...) pair: canonical order of its bits."""
+    return len(item[0]), item[0]
+
+
 @dataclass
 class _Staircases:
     """x's producers in (length, lexicographic) order and their forward
@@ -328,12 +334,12 @@ class DepthLab:
 
         Its roots are ``machine_starts(min(L, D), aux)``
         (:func:`prefixvm.machine_starts`); the index layer around their
-        codes is derived, never run.  Below each root the table holds,
-        length by length, the two children of every tape-exhausted
-        entry, each run through the ledger for <= D steps.  The
-        subtrees under the closed codes, ``closed_subtrees(L, D)``, join
-        the table length by length in their places, with no run and no
-        ledger line.
+        codes is derived, never run.  One heap yields the runs in
+        canonical (length, lexicographic) order: each popped string runs
+        through the ledger for <= D steps, and a tape-exhausted one
+        shorter than L pushes its two children, which sort after it.  So
+        a sweep costs what its table holds, not L.  The subtrees under
+        the closed codes, ``closed_subtrees(L, D)``, join it, never run.
         A string extending a run that halted or exceeded the budget runs
         identically (the machine never looks at the extension) and is
         never a program, so it is not stored.  A root or child missing
@@ -341,28 +347,26 @@ class DepthLab:
         is its machine about to start; a ledger hit passes on the run it
         was given), so the result is the from-scratch run's and nothing
         is decoded.  Each paused run is dropped once both children have
-        run.  The table is in canonical (length, lexicographic) order,
-        and cached with its exact halters grouped by output, the index
+        run.  The table is sorted once into canonical order, and cached
+        with its exact halters grouped by output, the index
         ``_producers`` reads.  A non-binary aux raises ValueError before
         anything runs.
         """
         if (budget, aux) not in self._sweeps:
             check_binary(aux, "aux")
-            roots = machine_starts(min(budget.max_len, budget.max_steps), aux)
-            closed = closed_subtrees(budget.max_len, budget.max_steps)
-            table = {}
-            layer: list = []  # (bits, its parent's paused run), one length
-            for n in range(budget.max_len + 1):
-                layer = sorted(layer + [root for root in roots if len(root[0]) == n],
-                               key=itemgetter(0))
-                grown, row = [], list(closed[n])
-                for bits, parent in layer:
-                    r, paused = self.ledger.extend(bits, aux, budget.max_steps, parent)
-                    row.append((bits, r))
-                    if r.outcome == TAPE_EXHAUSTED and n < budget.max_len:
-                        grown += ((bits + "0", paused), (bits + "1", paused))
-                table.update(sorted(row, key=itemgetter(0)))
-                layer = grown
+            # Canonical order is a heap order, and no two entries share
+            # (length, bits), so paused runs are never compared.
+            heap = [(len(bits), bits, start) for bits, start in
+                    machine_starts(min(budget.max_len, budget.max_steps), aux)]
+            records = list(closed_subtrees(budget.max_len, budget.max_steps))
+            while heap:
+                n, bits, parent = heappop(heap)
+                r, paused = self.ledger.extend(bits, aux, budget.max_steps, parent)
+                records.append((bits, r))
+                if r.outcome == TAPE_EXHAUSTED and n < budget.max_len:
+                    heappush(heap, (n + 1, bits + "0", paused))
+                    heappush(heap, (n + 1, bits + "1", paused))
+            table = dict(sorted(records, key=_canonical))
             by_output: dict[str, dict[str, PrefixRunResult]] = {}
             for bits, r in table.items():
                 if _exact(bits, r):
@@ -396,7 +400,7 @@ class DepthLab:
         known = self._sweeps[budget, aux][2]
         if x not in known:
             producers = dict(sorted(self._producers(x, budget, aux).items(),
-                                    key=lambda item: (len(item[0]), item[0])))
+                                    key=_canonical))
             known[x] = _Staircases(producers, _staircase(producers), budget.max_steps)
         return known[x]
 

@@ -385,11 +385,6 @@ class _ExecTable:
     blanks: tuple[str, ...]
 
 
-def _tables(m: Machine) -> _ExecTable:
-    """``m`` compiled for :func:`execute`, once per machine object."""
-    return m._compiled
-
-
 def _compile(m: Machine) -> _ExecTable:
     rw: dict[str, dict[tuple[str, ...], tuple]] = {}
     shift: dict[str, tuple] = {}
@@ -565,7 +560,7 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     """
     if budget < 0:
         raise MachineError("budget must be >= 0")
-    tables = _tables(m)
+    tables = m._compiled
     if bounded and tables.unbounded_input:
         raise MachineError(tables.unbounded_input)
     rw = tables.rw
@@ -663,7 +658,7 @@ def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
     outcome, state, taken, _ = execute(m, c.state, tapes, heads, budget)
     final = Configuration.make(
         state, tuple(tuple(t) for t in tapes), tuple(heads), c.steps + taken,
-        _tables(m).blanks)
+        m._compiled.blanks)
     return RunResult(outcome, final, taken, output_of(m, final))
 
 

@@ -698,13 +698,12 @@ def closed_halters(max_len: int, budget: int) -> int:
 
 
 @lru_cache(maxsize=256)
-def closed_subtrees(max_len: int, budget: int
-                    ) -> tuple[tuple[tuple[str, PrefixRunResult], ...], ...]:
-    """The records a sweep of (``max_len``, ``budget``) holds under the
-    closed codes: the slow repeaters', from T(k) and E(k) without a run.
-    Entry n holds the (bits, result) pairs of length n in lexicographic
-    order.  Neither machine reads past aux cell 0 or writes the aux tape,
-    so the records hold on every aux.
+def closed_subtrees(max_len: int, budget: int) -> tuple[tuple[str, PrefixRunResult], ...]:
+    """The (bits, result) records a sweep of (``max_len``, ``budget``)
+    holds under the closed codes: the slow repeaters', from T(k) and
+    E(k) without a run.  They come unordered; the sweep puts its whole
+    table in canonical order.  Neither machine reads past aux cell 0 or
+    writes the aux tape, so the records hold on every aux.
 
     A code is a root when it fits both bounds.  <i>0^k is tape-exhausted
     at E(k) steps when that fits the budget and exceeds it otherwise;
@@ -715,7 +714,7 @@ def closed_subtrees(max_len: int, budget: int
     machine first lays its one-cell block.  Each record's program is its
     whole bit string.
     """
-    rows: list[list[tuple[str, PrefixRunResult]]] = [[] for _ in range(max_len + 1)]
+    records = []
     for code, emit in _SLOW_CODES.items():
         if len(code) > min(max_len, budget):
             continue
@@ -723,10 +722,9 @@ def closed_subtrees(max_len: int, budget: int
             bits = code + "0" * k
             pause = _slow_pause(k)
             if pause > budget:
-                rows[len(bits)].append(
-                    (bits, PrefixRunResult(BUDGET_EXCEEDED, bits, "", budget)))
+                records.append((bits, PrefixRunResult(BUDGET_EXCEEDED, bits, "", budget)))
                 break
-            rows[len(bits)].append((bits, PrefixRunResult(TAPE_EXHAUSTED, bits, "", pause)))
+            records.append((bits, PrefixRunResult(TAPE_EXHAUSTED, bits, "", pause)))
             if len(bits) == max_len:
                 break
             if slow_steps(k) <= budget:
@@ -736,5 +734,5 @@ def closed_subtrees(max_len: int, budget: int
                 written = -(((7 if k == 0 else pause) - budget) // 2)
                 last = PrefixRunResult(BUDGET_EXCEEDED, bits + "1",
                                        emit * max(0, written), budget)
-            rows[len(bits) + 1].append((bits + "1", last))
-    return tuple(tuple(sorted(row)) for row in rows)
+            records.append((bits + "1", last))
+    return tuple(records)

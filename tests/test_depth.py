@@ -22,6 +22,7 @@ from oracles import (
     prefix_free_check,
 )
 from revlab import depth
+from revlab.cli import main
 from revlab.depth import (
     _LINE,
     _RECORD,
@@ -788,6 +789,25 @@ def test_a_large_budget_runs_no_slow_repeater(monkeypatch):
         assert table(10, large).rows == table(10, small).rows, table.__name__
     assert (len(lab.sweep(small)), len(lab.sweep(large))) == (102, 126)
     assert not [bits for bits in resumed if bits.startswith(SLOW)]
+
+
+def test_a_sweep_far_past_its_tree_costs_what_its_table_holds(capsys):
+    # A run of at most D steps reads at most D + 1 program bits, so every
+    # tree has died out by length D + 1.  At L = 10^9 the sweep must hold
+    # and run exactly what it does at L = D + 1, in the same order, with
+    # no work per length, which at L = 10^9 would take 10^9 steps of a loop.
+    for steps, aux in product((0, 6, 7, 10, 24, 31), ("", "1011")):
+        far, near = DepthLab(), DepthLab()
+        assert list(far.sweep(Budget(10 ** 9, steps), aux).items()) == \
+            list(near.sweep(Budget(steps + 1, steps), aux).items()), (steps, aux)
+        assert far.ledger._fresh == near.ledger._fresh, (steps, aux)
+    payloads = []
+    for max_len in ("1000000000", "28"):
+        assert main(["univ", "check-prefix", "--max-len", max_len, "--budget", "10"]) == 0
+        (line,) = capsys.readouterr().out.splitlines()
+        payloads.append(json.loads(line)["payload"])
+        assert payloads[-1].pop("max_len") == int(max_len)
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("method", ["sweep", "exact_halters"])

@@ -20,7 +20,6 @@ from revlab.machines import (
     QuintupleMachine,
     ReadWriteRule,
     ShiftRule,
-    _tables,
     normalize_to_quadruples,
     output_of,
     run_from,
@@ -293,10 +292,10 @@ def spin_entry(m, bits, aux, budget):
 
 def test_spin_states():
     for desc, m in builtin_machines().items():
-        assert _tables(m).spins == ({"spin"} if desc == "1" else set()), desc
-    assert _tables(diverger_machine()).spins == {"spin"}
+        assert m._compiled.spins == ({"spin"} if desc == "1" else set()), desc
+    assert diverger_machine()._compiled.spins == {"spin"}
     for m, spins in spin_machines():
-        assert _tables(m).spins == spins, m.name
+        assert m._compiled.spins == spins, m.name
 
 
 def test_spin_fast_path_matches_honest_stepping():
@@ -327,7 +326,7 @@ def test_spin_fast_path_matches_honest_stepping():
                     assert (r.outcome, r.program, r.output, r.steps) == want, \
                         (m.name, bits, aux, budget)
                     cases += 1
-                if ref[bits][400][0] == BUDGET_EXCEEDED and _tables(m).spins:
+                if ref[bits][400][0] == BUDGET_EXCEEDED and m._compiled.spins:
                     spun.add(m.name)
     assert cases == 89982
     assert spun == {"print", "diverger", "tail_into_cycle", "spinning_start"}
@@ -335,7 +334,7 @@ def test_spin_fast_path_matches_honest_stepping():
 
 def scan_states(m):
     """States with an entry compiled as a scan loop."""
-    return {s for s, table in _tables(m).rw.items()
+    return {s for s, table in m._compiled.rw.items()
             if any(entry[2] for entry in table.values())}
 
 
@@ -429,9 +428,9 @@ def test_scan_loop_states():
         assert scan_states(corpus_entry(name).machine) == want, name
     # The cell map is keyed by the shift state too: one map per loop.
     slow = slow_repeater_machine("1")
-    assert _tables(slow).rw["dh"][("0", "1", "Y", "_")][2] == \
+    assert slow._compiled.rw["dh"][("0", "1", "Y", "_")][2] == \
         (2, -1, {"Y": "O", "OM": "O"})
-    hand_built = {m.name: _tables(m).rw for m, _, _ in scan_machines()}
+    hand_built = {m.name: m._compiled.rw for m, _, _ in scan_machines()}
     two = hand_built["two_loops"]["S"]
     assert two[("a",)][2] is two[("c",)][2] == (0, 1, {"a": "a", "c": "b"})
     assert two[("b",)][2] == (0, -1, {"b": "c"})
@@ -452,7 +451,7 @@ def test_fused_shift_entries():
         machines += [m, bennett_transform(m).machine]
     kinds = set()
     for m in machines:
-        tables = _tables(m)
+        tables = m._compiled
         for table in tables.rw.values():
             for _, to, scan, then in table.values():
                 fused = scan is None and to in tables.live
@@ -720,7 +719,7 @@ def test_slow_subtrees_match_real_runs(aux):
                            slow_steps(k) - 1, slow_steps(k), 100_000):
                 for bits, start, whole in ((zeros, parent, paused_zeros),
                                            (ones, paused, ones_run)):
-                    got = dict(closed_subtrees(len(bits), budget)[len(bits)]).get(bits)
+                    got = dict(closed_subtrees(len(bits), budget)).get(bits)
                     assert got == real(start, bits, whole, budget), (bits, budget)
                 assert ones not in closed_producers(ones_run.output, budget)
             parent = paused

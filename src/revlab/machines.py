@@ -121,24 +121,6 @@ class Machine:
         return self._hash
 
 
-def domains_overlap(a: Rule, b: Rule) -> bool:
-    """True when the two rules could both apply in some configuration."""
-    if a.from_state != b.from_state:
-        return False
-    if isinstance(a, ShiftRule) or isinstance(b, ShiftRule):
-        return True
-    return a.reads == b.reads
-
-
-def ranges_overlap(a: Rule, b: Rule) -> bool:
-    """True when the two rules could both have produced some configuration."""
-    if a.to_state != b.to_state:
-        return False
-    if isinstance(a, ShiftRule) or isinstance(b, ShiftRule):
-        return True
-    return a.writes == b.writes
-
-
 @dataclass(frozen=True)
 class RuleConflict:
     first: int
@@ -236,10 +218,10 @@ def _overlap_conflicts(rules: tuple[Rule, ...],
                        what: str) -> list[RuleConflict]:
     """Conflicting rule pairs, grouped by state so valid machines cost O(n).
 
-    Equivalent to the naive all-pairs scan with domains_overlap /
-    ranges_overlap (the tests check this equivalence against the naive
-    oracle); a shift rule in a group conflicts with every other member,
-    ReadWrite rules conflict when their symbol tuples coincide.
+    A shift rule in a group conflicts with every other member; ReadWrite
+    rules conflict when their symbol tuples coincide.  The tests check
+    this against an all-pairs scan with the naive domain and range
+    overlap predicates in ``tests/oracles.py``.
     """
     groups: dict[str, list[int]] = {}
     for i, r in enumerate(rules):
@@ -653,6 +635,12 @@ def run_from(m: Machine, c: Configuration, budget: int) -> RunResult:
     if {len(c.tapes), len(c.heads)} != {m.tape_count} or min(c.heads, default=0) < 0:
         raise MachineError(f"configuration with {len(c.tapes)} tapes and heads "
                            f"{c.heads} does not fit {m.tape_count}-tape {m.name!r}")
+    if c.state not in m.states:
+        raise MachineError(f"state {c.state!r} is not a state of {m.name!r}")
+    for t, (a, cells) in enumerate(zip(m.alphabets, c.tapes), start=1):
+        if not a.symbols.issuperset(cells):
+            raise MachineError(f"tape {t} cells {sorted(set(cells) - a.symbols)} "
+                               f"are not in its alphabet")
     tapes = [list(t) for t in c.tapes]
     heads = list(c.heads)
     outcome, state, taken, _ = execute(m, c.state, tapes, heads, budget)

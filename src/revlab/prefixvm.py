@@ -326,9 +326,7 @@ def _width(n: int) -> int:
 
 
 _AUX_CODE = {"00": "0", "01": "1", "10": BIT_BLANK}
-_AUX_ENC = {v: k for k, v in _AUX_CODE.items()}
 _MOVE_CODE = {"00": -1, "01": 0, "10": 1}
-_MOVE_ENC = {v: k for k, v in _MOVE_CODE.items()}
 
 
 def _work_symbols(extra: int) -> list[str]:
@@ -403,68 +401,6 @@ def _parse_general(body: str) -> Machine | None:
     if domain_conflicts(m.rules):
         return None
     return m
-
-
-def serialize_index(m: Machine) -> int:
-    """Index of a prefix-convention machine under the general grammar.
-
-    The machine must have four tapes with the standard alphabets (work
-    extras are renamed canonically), a read-only program tape, and no
-    left shifts on the program tape.  Behaviour is preserved; state and
-    symbol names are not.
-    """
-    if m.tape_count != 4:
-        raise MachineError("prefix machines have exactly 4 tapes")
-    base = {BIT_BLANK, "0", "1"}
-    for t in (0, 1, 3):
-        if m.alphabets[t].symbols != frozenset(base) or m.alphabets[t].blank != BIT_BLANK:
-            raise MachineError(f"tape {t + 1} must use the binary alphabet")
-    extras = sorted(m.alphabets[2].symbols - base)
-    if m.alphabets[2].blank != BIT_BLANK:
-        raise MachineError("work tape blank must be '_'")
-    work = _work_symbols(len(extras))
-    rename = {BIT_BLANK: BIT_BLANK, "0": "0", "1": "1"}
-    rename.update({s: f"w{n}" for n, s in enumerate(extras)})
-    states = sorted(m.states)
-    states.remove(m.start_state)
-    states.insert(0, m.start_state)
-    state_ix = {s: n for n, s in enumerate(states)}
-    swidth = _width(len(states))
-    wwidth = _width(len(work))
-    work_ix = {s: n for n, s in enumerate(work)}
-
-    def gamma(n: int) -> str:
-        b = bin(n)[2:]
-        return "0" * (len(b) - 1) + b
-
-    def fixed(ix: int, width: int) -> str:
-        return format(ix, f"0{width}b") if width else ""
-
-    bits = [gamma(len(extras) + 1), gamma(len(states)), gamma(len(m.rules) + 1)]
-    for rule in m.rules:
-        if isinstance(rule, ReadWriteRule):
-            if rule.reads[0] != rule.writes[0]:
-                raise MachineError("program tape is read-only")
-            if rule.reads[0] not in ("0", "1"):
-                raise MachineError("program tape reads must be bits")
-            bits.append("0")
-            bits.append(fixed(state_ix[rule.from_state], swidth))
-            bits.append(rule.reads[0])
-            bits.append(_AUX_ENC[rule.reads[1]] + _AUX_ENC[rule.writes[1]])
-            bits.append(fixed(work_ix[rename[rule.reads[2]]], wwidth)
-                        + fixed(work_ix[rename[rule.writes[2]]], wwidth))
-            bits.append(_AUX_ENC[rule.reads[3]] + _AUX_ENC[rule.writes[3]])
-            bits.append(fixed(state_ix[rule.to_state], swidth))
-        else:
-            if rule.moves[0] == -1:
-                raise MachineError("program tape is one-way")
-            bits.append("1")
-            bits.append(fixed(state_ix[rule.from_state], swidth))
-            bits.append("1" if rule.moves[0] == 1 else "0")
-            bits.append(_MOVE_ENC[rule.moves[1]] + _MOVE_ENC[rule.moves[2]]
-                        + _MOVE_ENC[rule.moves[3]])
-            bits.append(fixed(state_ix[rule.to_state], swidth))
-    return index_of_string(_GENERAL_PREFIX + "".join(bits))
 
 
 @lru_cache(maxsize=4096)

@@ -1,5 +1,7 @@
-"""Definitional brute-force oracles for complexity, depth and
-prefix-freeness, and a direct quintuple-machine interpreter.
+"""Definitional references for the tests: brute-force oracles for
+complexity, depth and prefix-freeness, a direct quintuple-machine
+interpreter, the general grammar's encoder, the naive rule-overlap
+predicates, and honest stepping.
 
 The depth oracles are deliberately independent of revlab.depth:
 straight loops over direct interpreter calls, no ledger, no sweep
@@ -9,6 +11,14 @@ interpreter itself, which is what these oracles check the depth lab
 against.  ``prefix_free_check`` runs every bit string up to L, the
 oracle for ``revlab univ check-prefix``, which reads the sweep.
 ``run_quintuple`` is the oracle for ``machines.normalize_to_quadruples``.
+``serialize_index`` inverts the decoder ``prefixvm._parse_general``;
+``domains_overlap`` and ``ranges_overlap`` define the conflicts that
+``machines._overlap_conflicts`` finds by grouping.  Honest stepping
+iterates ``machines.step``, the reference for ``machines.execute``:
+``honest_trace`` collects a run's configurations, and
+``honest_prefix_results`` reads ``run_prefix``'s result at every budget
+from one run, and ``assert_run_from_matches_stepping`` checks
+``run_from`` from every configuration of a trace.
 """
 
 from dataclasses import dataclass
@@ -17,13 +27,31 @@ from itertools import product
 from revlab.machines import (
     BUDGET_EXCEEDED,
     HALTED,
+    TAPE_EXHAUSTED,
     Configuration,
+    Machine,
     MachineError,
     QuintupleMachine,
     QuintupleRule,
+    ReadWriteRule,
+    Rule,
     RunResult,
+    ShiftRule,
+    output_of,
+    run_from,
+    step,
 )
-from revlab.prefixvm import universal_reversible_run, universal_run
+from revlab.prefixvm import (
+    BIT_BLANK,
+    _AUX_CODE,
+    _GENERAL_PREFIX,
+    _MOVE_CODE,
+    _width,
+    _work_symbols,
+    index_of_string,
+    universal_reversible_run,
+    universal_run,
+)
 
 _tables: dict = {}
 _exact_by_output: dict = {}
@@ -263,3 +291,159 @@ def run_quintuple(m5: QuintupleMachine, input_symbols: str | tuple[str, ...],
             break
         out.append(s)
     return RunResult(outcome, final, taken, "".join(out))
+
+
+# --- the general grammar's encoder --------------------------------------------
+
+# The decoder's field codes, inverted, so the two cannot drift.
+_AUX_ENC = {v: k for k, v in _AUX_CODE.items()}
+_MOVE_ENC = {v: k for k, v in _MOVE_CODE.items()}
+
+
+def gamma(n: int) -> str:
+    """Elias gamma code of n >= 1."""
+    b = bin(n)[2:]
+    return "0" * (len(b) - 1) + b
+
+
+def serialize_index(m: Machine) -> int:
+    """Index of a prefix-convention machine under the general grammar.
+
+    The machine must have four tapes with the standard alphabets (work
+    extras are renamed canonically), a read-only program tape, and no
+    left shifts on the program tape.  Behaviour is preserved; state and
+    symbol names are not.
+    """
+    if m.tape_count != 4:
+        raise MachineError("prefix machines have exactly 4 tapes")
+    base = {BIT_BLANK, "0", "1"}
+    for t in (0, 1, 3):
+        if m.alphabets[t].symbols != frozenset(base) or m.alphabets[t].blank != BIT_BLANK:
+            raise MachineError(f"tape {t + 1} must use the binary alphabet")
+    extras = sorted(m.alphabets[2].symbols - base)
+    if m.alphabets[2].blank != BIT_BLANK:
+        raise MachineError("work tape blank must be '_'")
+    work = _work_symbols(len(extras))
+    rename = {BIT_BLANK: BIT_BLANK, "0": "0", "1": "1"}
+    rename.update({s: f"w{n}" for n, s in enumerate(extras)})
+    states = sorted(m.states)
+    states.remove(m.start_state)
+    states.insert(0, m.start_state)
+    state_ix = {s: n for n, s in enumerate(states)}
+    swidth = _width(len(states))
+    wwidth = _width(len(work))
+    work_ix = {s: n for n, s in enumerate(work)}
+
+    def fixed(ix: int, width: int) -> str:
+        return format(ix, f"0{width}b") if width else ""
+
+    bits = [gamma(len(extras) + 1), gamma(len(states)), gamma(len(m.rules) + 1)]
+    for rule in m.rules:
+        if isinstance(rule, ReadWriteRule):
+            if rule.reads[0] != rule.writes[0]:
+                raise MachineError("program tape is read-only")
+            if rule.reads[0] not in ("0", "1"):
+                raise MachineError("program tape reads must be bits")
+            bits.append("0")
+            bits.append(fixed(state_ix[rule.from_state], swidth))
+            bits.append(rule.reads[0])
+            bits.append(_AUX_ENC[rule.reads[1]] + _AUX_ENC[rule.writes[1]])
+            bits.append(fixed(work_ix[rename[rule.reads[2]]], wwidth)
+                        + fixed(work_ix[rename[rule.writes[2]]], wwidth))
+            bits.append(_AUX_ENC[rule.reads[3]] + _AUX_ENC[rule.writes[3]])
+            bits.append(fixed(state_ix[rule.to_state], swidth))
+        else:
+            if rule.moves[0] == -1:
+                raise MachineError("program tape is one-way")
+            bits.append("1")
+            bits.append(fixed(state_ix[rule.from_state], swidth))
+            bits.append("1" if rule.moves[0] == 1 else "0")
+            bits.append(_MOVE_ENC[rule.moves[1]] + _MOVE_ENC[rule.moves[2]]
+                        + _MOVE_ENC[rule.moves[3]])
+            bits.append(fixed(state_ix[rule.to_state], swidth))
+    return index_of_string(_GENERAL_PREFIX + "".join(bits))
+
+
+# --- rule overlap ---------------------------------------------------------------
+
+def domains_overlap(a: Rule, b: Rule) -> bool:
+    """True when the two rules could both apply in some configuration."""
+    if a.from_state != b.from_state:
+        return False
+    if isinstance(a, ShiftRule) or isinstance(b, ShiftRule):
+        return True
+    return a.reads == b.reads
+
+
+def ranges_overlap(a: Rule, b: Rule) -> bool:
+    """True when the two rules could both have produced some configuration."""
+    if a.to_state != b.to_state:
+        return False
+    if isinstance(a, ShiftRule) or isinstance(b, ShiftRule):
+        return True
+    return a.writes == b.writes
+
+
+# --- honest stepping ------------------------------------------------------------
+
+def honest_trace(m: Machine, c: Configuration, cap: int) -> list[Configuration]:
+    """``c`` and each successor under machines.step, until the halt or
+    ``cap`` steps."""
+    configs = [c]
+    while len(configs) <= cap and (nxt := step(m, configs[-1])) is not None:
+        configs.append(nxt)
+    return configs
+
+
+def prefix_start(m: Machine, bits: str, aux: str) -> Configuration:
+    """The four-tape configuration a prefix run of ``m`` starts from."""
+    return Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
+                              (0, 0, 0, 0), 0, m.blanks())
+
+
+def honest_prefix_results(m: Machine, bits: str, aux: str, cap: int) -> list:
+    """run_prefix's (outcome, program, output, steps) at every budget up
+    to ``cap``, from one run iterating machines.step: entry
+    ``min(b, len - 1)`` is the result at budget b <= cap.
+
+    A ReadWrite state whose program head is at or past len(bits) ends the
+    run TapeExhausted; the program is the bits up to one past the last
+    program cell read.
+    """
+    rw_states = {r.from_state for r in m.rules if isinstance(r, ReadWriteRule)}
+    c = prefix_start(m, bits, aux)
+    scanned = 0
+    results = []
+    while True:
+        if c.state in rw_states:
+            if c.heads[0] >= len(bits):
+                outcome = TAPE_EXHAUSTED
+                break
+            scanned = c.heads[0] + 1
+        nxt = step(m, c)
+        if nxt is None:
+            outcome = HALTED
+            break
+        results.append((BUDGET_EXCEEDED, bits[:scanned], output_of(m, c), c.steps))
+        if c.steps >= cap:
+            return results
+        c = nxt
+    results.append((outcome, bits[:scanned], output_of(m, c), c.steps))
+    return results
+
+
+def assert_run_from_matches_stepping(m: Machine, configs: list, ks) -> None:
+    """run_from(m, c, k) from every configuration c of an honest trace,
+    for each budget k in ``ks`` that the trace decides."""
+    last = len(configs) - 1
+    halted = step(m, configs[-1]) is None
+    for j, c in enumerate(configs):
+        for k in ks:
+            end = min(j + k, last)
+            if j + k > last and not halted:
+                continue  # past the traced budget
+            r = run_from(m, c, k)
+            want = HALTED if halted and end == last else BUDGET_EXCEEDED
+            assert (r.outcome, r.final, r.steps, r.output) == \
+                (want, configs[end], end - j, output_of(m, configs[end])), \
+                (m.name, c, k)

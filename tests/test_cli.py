@@ -150,12 +150,18 @@ def test_rev_reverse_roundtrip(capsys, corpus_dir, tmp_path):
     ("tape 1 head 0 cells 1,0\n", EXIT_INVALID),
     ("tape 2 head 0 cells -\ntape 1 head 0 cells 1,0\ntape 3 head 0 cells -\n",
      EXIT_USAGE),
-], ids=["head-1", "head-3", "one-tape", "swapped-tapes"])
+    ("state zz\ntape 1 head 0 cells 1,0\ntape 2 head 0 cells -\ntape 3 head 0 cells -\n",
+     EXIT_INVALID),
+    ("tape 1 head 0 cells 9,0\ntape 2 head 0 cells -\ntape 3 head 0 cells -\n",
+     EXIT_INVALID),
+], ids=["head-1", "head-3", "one-tape", "swapped-tapes", "unknown-state",
+        "foreign-symbol"])
 def test_rev_reverse_rejects_impossible_configurations(capsys, tmp_path,
                                                        snapshot, want):
     # A negative head or a misnumbered tape is a parse error; a tape
-    # count other than the machine's is an invalid configuration.  None
-    # may read a cell.
+    # count other than the machine's, a state the machine lacks (the
+    # snapshot's last state line wins) and a cell outside its tape's
+    # alphabet are invalid configurations.  None may read a cell.
     from revlab.reversal import bennett_transform
 
     bm = bennett_transform(corpus_entry("flipper").machine)
@@ -373,6 +379,31 @@ def test_negative_lengths_are_rejected(capsys, tmp_path, monkeypatch, argv):
     assert captured.out == ""
     assert "must be >= 0" in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["univ", "run", "--bits", "0xZZ", "--budget", "5"], "bad hex bit string '0xZZ'"),
+    (["univ", "run", "--bits", "01", "--budget", "-1"], "budget must be >= 0"),
+    (["depth", "ld", "0", "--b", "-1", "--variant", "gen", "--max-len", "4",
+      "--budget", "10"], "significance level must be >= 0"),
+], ids=["hex-bits", "budget", "significance"])
+def test_bad_values_exit_invalid_without_traceback(capsys, tmp_path, monkeypatch,
+                                                   argv, message):
+    monkeypatch.setenv("REVLAB_CACHE", str(tmp_path))
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_validate_reports_parse_error_as_usage(capsys, tmp_path):
+    path = tmp_path / "bad.tm"
+    path.write_text("machine x\ntapes one\n")
+    assert main(["machine", "validate", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2: tapes takes one integer" in captured.err
 
 
 def test_cache_dir_roundtrip(capsys, tmp_path):

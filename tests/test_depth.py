@@ -138,6 +138,11 @@ def test_canonical_star_always_in_incompressible_set(lab):
             assert star in inc.programs, (x, b)
 
 
+def test_negative_significance_level_is_rejected(lab):
+    with pytest.raises(ValueError, match="significance level must be >= 0"):
+        lab.incompressible_programs("0", -1, QUICK)
+
+
 def test_print_program_in_set_at_permissive_threshold(lab):
     x = "01"
     rec = lab.k_bounded(x, QUICK)

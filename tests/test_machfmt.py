@@ -10,7 +10,7 @@ from revlab.machfmt import (
     serialize_configuration,
     serialize_machine,
 )
-from revlab.machines import QuintupleMachine, normalize_to_quadruples, run
+from revlab.machines import Configuration, QuintupleMachine, normalize_to_quadruples, run
 
 
 def test_machine_roundtrip_on_corpus():
@@ -69,7 +69,6 @@ def test_parse_rejects_bad_shift():
 
 
 def test_configuration_snapshot_roundtrip():
-    from revlab.machines import Configuration
     c = Configuration("q1", (("1", "0"), ()), (1, 0), 17)
     text = serialize_configuration(c)
     assert parse_configuration(text) == c
@@ -125,3 +124,87 @@ def test_configuration_rejects_misnumbered_tapes(tape_lines, bad_line):
     with pytest.raises(MachineFormatError) as err:
         parse_configuration(text)
     assert err.value.line_no == bad_line
+
+
+GOOD_MACHINE = ["machine x", "tapes 1", "alphabet 1 blank _ symbols 0 1",
+                "states s t", "start s", "halt t", "output-tape 1",
+                "rule s 0 -> 1 t"]
+
+
+def test_good_machine_lines_parse():
+    assert parse_machine("\n".join(GOOD_MACHINE) + "\n").rules
+
+
+@pytest.mark.parametrize("line_no, bad, message", [
+    (1, "machine", "machine takes one name"),
+    (1, "machine x y", "machine takes one name"),
+    (2, "tapes", "tapes takes one integer"),
+    (2, "tapes one", "tapes takes one integer"),
+    (2, "tapes 0", "tapes must be >= 1"),
+    (3, "alphabet one blank _ symbols 0 1", "bad tape number 'one'"),
+    (3, "alphabet 1 blank _", "expected: alphabet"),
+    (5, "start", "start takes one state"),
+    (5, "start s t", "start takes one state"),
+    (7, "output-tape", "output-tape takes one integer"),
+    (7, "output-tape last", "output-tape takes one integer"),
+    (8, "rule s 0 1 t", "expected: rule"),
+    (8, "rule s 0 => 1 t", "expected: rule"),
+    (8, "quintuple s 0 -> 1 t", "expected: quintuple"),
+    (8, "quintuple s 0 => 1 +1 t", "expected: quintuple"),
+    (8, "quintuple s 0 -> 1 2 t", "bad shift component '2'"),
+], ids=["machine-bare", "machine-two", "tapes-bare", "tapes-word",
+        "tapes-zero", "alphabet-tape", "alphabet-short", "start-bare",
+        "start-two", "output-bare", "output-word", "rule-arity",
+        "rule-arrow", "quintuple-arity", "quintuple-arrow",
+        "quintuple-shift"])
+def test_parse_rejects_bad_line_with_its_number(line_no, bad, message):
+    lines = list(GOOD_MACHINE)
+    lines[line_no - 1] = bad
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine("\n".join(lines) + "\n")
+    assert err.value.line_no == line_no
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("dropped, message", [
+    ("machine x", "missing 'machine' header"),
+    ("tapes 1", "missing 'tapes' header"),
+    ("start s", "missing 'start' header"),
+    ("alphabet 1 blank _ symbols 0 1", "missing alphabet for tape 1"),
+], ids=["machine", "tapes", "start", "alphabet"])
+def test_parse_rejects_missing_header_at_line_zero(dropped, message):
+    text = "\n".join(line for line in GOOD_MACHINE if line != dropped) + "\n"
+    with pytest.raises(MachineFormatError) as err:
+        parse_machine(text)
+    assert err.value.line_no == 0
+    assert message in str(err.value)
+
+
+def test_comments_and_blank_lines_are_ignored():
+    def commented(text):
+        return "# leading comment\n\n" + "".join(
+            f"  {line}  # note\n   \n# between lines\n" for line in text.splitlines())
+
+    for entry in corpus():
+        text = serialize_machine(entry.machine)
+        assert parse_machine(commented(text)) == parse_machine(text), entry.name
+    c = Configuration("q1", (("1", "0"), ()), (1, 0), 17)
+    text = serialize_configuration(c)
+    assert parse_configuration(commented(text)) == c
+
+
+@pytest.mark.parametrize("lines, line_no, message", [
+    (["state s", "steps many"], 2, "bad step count 'many'"),
+    (["state s", "tape 1 head 0 cells"], 2, "expected: tape <n>"),
+    (["state s", "tape 1 at 0 cells 0"], 2, "expected: tape <n>"),
+    (["state s", "tape one head 0 cells 0"], 2, "bad tape or head"),
+    (["state s", "tape 1 head zero cells 0"], 2, "bad tape or head"),
+    (["state s", "heads 0"], 2, "unknown directive 'heads'"),
+    (["steps 0", "tape 1 head 0 cells 0"], 0, "missing 'state' line"),
+], ids=["steps", "tape-short", "tape-words", "tape-number", "head",
+        "directive", "no-state"])
+def test_configuration_rejects_bad_line_with_its_number(lines, line_no, message):
+    with pytest.raises(MachineFormatError) as err:
+        parse_configuration("\n".join(lines) + "\n")
+    assert err.value.line_no == line_no
+    assert message in str(err.value)

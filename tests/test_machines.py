@@ -15,18 +15,21 @@ from revlab.machines import (
     QuintupleRule,
     ReadWriteRule,
     ShiftRule,
-    domains_overlap,
     domain_conflicts,
     initial_configuration,
     normalize_to_quadruples,
-    output_of,
     run,
-    run_from,
     step,
     trace_run,
     validate_machine,
 )
-from oracles import inputs_up_to, run_quintuple
+from oracles import (
+    assert_run_from_matches_stepping,
+    domains_overlap,
+    honest_trace,
+    inputs_up_to,
+    run_quintuple,
+)
 from revlab.corpus import BLANK, BINARY, corpus, corpus_entry
 from revlab.reversal import bennett_transform, invert
 
@@ -104,6 +107,24 @@ def test_validate_reports_unknown_symbol_with_rule():
     report = validate_machine(m)
     assert not report.ok
     assert any("rule 0" in e and "'7'" in e for e in report.errors)
+
+
+@pytest.mark.parametrize("changes, error", [
+    (dict(start_state="q"), "start state 'q' not in states"),
+    (dict(halt_states=frozenset({"h"})), "halt state 'h' not in states"),
+    (dict(rules=(rw("s", "0", "1", "zz"),)), "rule 0 (s 0 -> 1 zz): unknown state 'zz'"),
+    (dict(rules=(rw("s", "0", "9", "s"),)),
+     "rule 0 (s 0 -> 9 s): symbol '9' not in tape 1 alphabet"),
+    (dict(rules=(ShiftRule("s", (1, 0), "s"),)),
+     "rule 0 (s / -> +1,0 s): shift arity != tape count"),
+    (dict(rules=(sh("s", 2, "s"),)), "shift 2 not in -1/0/+1"),
+], ids=["start", "halt", "rule-state", "written-symbol", "shift-arity",
+        "shift-value"])
+def test_validate_reports_structural_errors(changes, error):
+    m = replace(quad([rw("s", "0", "1", "s")], start="s"), **changes)
+    report = validate_machine(m)
+    assert not report.ok
+    assert any(error in e for e in report.errors), report.errors
 
 
 def test_validate_rejects_rule_from_halt_state():
@@ -208,30 +229,6 @@ def test_run_matches_step_iteration():
             assert result.steps == last.steps
 
 
-def assert_run_from_matches_stepping(m, configs, ks):
-    """run_from(m, c, k) from every configuration of a trace of steps."""
-    last = len(configs) - 1
-    halted = step(m, configs[-1]) is None
-    for j, c in enumerate(configs):
-        for k in ks:
-            end = min(j + k, last)
-            if j + k > last and not halted:
-                continue  # past the traced budget
-            r = run_from(m, c, k)
-            want = HALTED if halted and end == last else BUDGET_EXCEEDED
-            assert (r.outcome, r.final, r.steps, r.output) == \
-                (want, configs[end], end - j, output_of(m, configs[end])), \
-                (m.name, c, k)
-
-
-def trace_from(m, c, budget):
-    """``c`` and every successor up to the budget."""
-    configs = [c]
-    while len(configs) <= budget and (nxt := step(m, configs[-1])) is not None:
-        configs.append(nxt)
-    return configs
-
-
 def test_run_from_matches_step_from_every_configuration():
     # Runs start mid-run too: heads far past the stripped tape end,
     # interior blanks, and history tapes half written or half erased.
@@ -249,7 +246,7 @@ def test_run_from_matches_step_from_every_configuration():
             configs = list(trace_run(em, w, 400))
             assert_run_from_matches_stepping(em, configs, ks)
             if step(em, configs[-1]) is None:
-                back = trace_from(inv, replace(configs[-1], steps=0), 400)
+                back = honest_trace(inv, replace(configs[-1], steps=0), 400)
                 assert_run_from_matches_stepping(inv, back, ks)
 
 
@@ -266,9 +263,7 @@ def test_padded_tape_edges():
         sh("s11", 1, "s12"), rw("s12", "1", "1", "s0"),
     ]
     m = quad(rules, start="s0")
-    configs = [Configuration("s0", (("1", "0"),), (3,), 0)]
-    while len(configs) < 100 and (nxt := step(m, configs[-1])) is not None:
-        configs.append(nxt)
+    configs = honest_trace(m, Configuration("s0", (("1", "0"),), (3,), 0), 99)
     assert [c.heads[0] for c in configs] == [3, 3, 2, 2, 1, 1, 0, 0, 0, 1, 2, 3, 4]
     assert configs[-1] == Configuration("s12", (("0",),), (4,), 12)
     assert_run_from_matches_stepping(m, configs, range(14))

@@ -10,7 +10,16 @@ from pathlib import Path
 import pytest
 
 import revlab
-from oracles import bit_strings, prefix_free_check
+from oracles import (
+    assert_run_from_matches_stepping,
+    bit_strings,
+    gamma,
+    honest_prefix_results,
+    honest_trace,
+    prefix_free_check,
+    prefix_start,
+    serialize_index,
+)
 from revlab.corpus import corpus, corpus_entry
 from revlab.machines import (
     Alphabet,
@@ -21,9 +30,6 @@ from revlab.machines import (
     ReadWriteRule,
     ShiftRule,
     normalize_to_quadruples,
-    output_of,
-    run_from,
-    step,
     validate_machine,
 )
 from revlab.prefixvm import (
@@ -60,7 +66,6 @@ from revlab.prefixvm import (
     print_steps,
     resume_run,
     run_prefix,
-    serialize_index,
     slow_repeater_machine,
     slow_steps,
     string_of_index,
@@ -187,33 +192,6 @@ def test_prefix_cursor_is_monotone_and_program_prefix():
         assert bits.startswith(result.program)
 
 
-def honest_prefix_run(m, bits, aux, budget):
-    """run_prefix by iterating machines.step on a four-tape configuration.
-
-    A ReadWrite state whose program head is at or past len(bits) ends the
-    run TapeExhausted; ``scanned`` is one past the last program cell read.
-    """
-    rw_states = {r.from_state for r in m.rules if isinstance(r, ReadWriteRule)}
-    c = Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
-                           (0, 0, 0, 0), 0, m.blanks())
-    scanned = 0
-    while True:
-        if c.state in rw_states:
-            if c.heads[0] >= len(bits):
-                outcome = TAPE_EXHAUSTED
-                break
-            scanned = c.heads[0] + 1
-        nxt = step(m, c)
-        if nxt is None:
-            outcome = HALTED
-            break
-        if c.steps >= budget:
-            outcome = BUDGET_EXCEEDED
-            break
-        c = nxt
-    return outcome, bits[:scanned], output_of(m, c), c.steps
-
-
 def test_run_prefix_matches_honest_stepping():
     machines = list(builtin_machines().values()) + [diverger_machine()]
     outcomes = set()
@@ -221,10 +199,11 @@ def test_run_prefix_matches_honest_stepping():
     for m in machines:
         for bits in bit_strings(6):
             for aux in ("", "1011"):
+                honest = honest_prefix_results(m, bits, aux, 400)
                 for budget in (0, 1, 2, 7, 400):
                     r = run_prefix(m, bits, aux, budget)
                     got = (r.outcome, r.program, r.output, r.steps)
-                    assert got == honest_prefix_run(m, bits, aux, budget), \
+                    assert got == honest[min(budget, len(honest) - 1)], \
                         (m.name, bits, aux, budget)
                     outcomes.add(r.outcome)
                     cases += 1
@@ -280,14 +259,9 @@ def spin_entry(m, bits, aux, budget):
     ``budget`` honest steps: where a run that ends spinning enters its
     spin."""
     shifts = {r.from_state for r in m.rules if isinstance(r, ShiftRule)}
-    c = Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
-                           (0, 0, 0, 0), 0, m.blanks())
-    entry = 0
-    while c is not None and c.steps < budget:
-        if c.state not in shifts:
-            entry = c.steps + 1
-        c = step(m, c)
-    return entry
+    trace = honest_trace(m, prefix_start(m, bits, aux), budget)
+    return max((c.steps + 1 for c in trace[:budget] if c.state not in shifts),
+               default=0)
 
 
 def test_spin_states():
@@ -299,11 +273,11 @@ def test_spin_states():
 
 
 def test_spin_fast_path_matches_honest_stepping():
-    # Budgets 0, 400 and the honest spin entry e, e - 1 and e + 1, for
-    # every string up to 10 bits (6 for the builtins without a spin).  A
-    # string extending one whose run did not exhaust the tape within 400
-    # steps never reads past that string, so it shares its honest
-    # reference.
+    # Budgets 0, 400 and the honest spin entry e, e - 1 and e + 1 (at
+    # most 401), for every string up to 10 bits (6 for the builtins
+    # without a spin), all read from one honest run.  A string extending
+    # one whose run did not exhaust the tape within 400 steps never reads
+    # past that string, so it shares its honest reference.
     machines = [(m, 10 if desc == "1" else 6)
                 for desc, m in builtin_machines().items()]
     machines += [(diverger_machine(), 10)]
@@ -319,7 +293,8 @@ def test_spin_fast_path_matches_honest_stepping():
                     ref[bits] = parent
                 else:
                     e = spin_entry(m, bits, aux, 400)
-                    ref[bits] = {b: honest_prefix_run(m, bits, aux, b)
+                    honest = honest_prefix_results(m, bits, aux, 401)
+                    ref[bits] = {b: honest[min(b, len(honest) - 1)]
                                  for b in {0, 400, max(e - 1, 0), e, e + 1}}
                 for budget, want in ref[bits].items():
                     r = run_prefix(m, bits, aux, budget)
@@ -392,30 +367,6 @@ def scan_machines():
     ]
 
 
-def honest_prefix_runs(m, bits, aux):
-    """honest_prefix_run at every budget from 0 to the run's step count,
-    from one trace: entry b is the result at budget b."""
-    rw_states = {r.from_state for r in m.rules if isinstance(r, ReadWriteRule)}
-    c = Configuration.make(m.start_state, (tuple(bits), tuple(aux), (), ()),
-                           (0, 0, 0, 0), 0, m.blanks())
-    scanned = 0
-    runs = []
-    while True:
-        if c.state in rw_states:
-            if c.heads[0] >= len(bits):
-                outcome = TAPE_EXHAUSTED
-                break
-            scanned = c.heads[0] + 1
-        nxt = step(m, c)
-        if nxt is None:
-            outcome = HALTED
-            break
-        runs.append((BUDGET_EXCEEDED, bits[:scanned], output_of(m, c), c.steps))
-        c = nxt
-    runs.append((outcome, bits[:scanned], output_of(m, c), c.steps))
-    return runs
-
-
 def test_scan_loop_states():
     for desc, m in builtin_machines().items():
         want = {"dc", "dd", "dg", "dh"} if desc in ("01", "10") else set()
@@ -481,7 +432,7 @@ def test_scan_loop_matches_honest_stepping():
     outcomes = set()
     for m, bits in prefix_cases:
         for aux in ("", "1011"):
-            honest = honest_prefix_runs(m, bits, aux)
+            honest = honest_prefix_results(m, bits, aux, 10_000)
             for budget in range(len(honest) + 2):
                 r = run_prefix(m, bits, aux, budget)
                 want = honest[min(budget, len(honest) - 1)]
@@ -493,18 +444,7 @@ def test_scan_loop_matches_honest_stepping():
             and ("slow_ones", HALTED) in outcomes)
     # Unbounded runs from every configuration of the trace, every budget.
     for m, c0, n in scan_machines():
-        configs = [c0]
-        while len(configs) <= n and (nxt := step(m, configs[-1])) is not None:
-            configs.append(nxt)
-        halted = step(m, configs[-1]) is None
-        last = len(configs) - 1
-        for j, c in enumerate(configs):
-            for budget in range(last - j + 1):
-                end = j + budget
-                want = HALTED if halted and end == last else BUDGET_EXCEEDED
-                r = run_from(m, c, budget)
-                assert (r.outcome, r.final, r.steps) == \
-                    (want, configs[end], budget), (m.name, j, budget)
+        assert_run_from_matches_stepping(m, honest_trace(m, c0, n), range(n + 1))
 
 
 def test_prefix_rejects_leftward_program_shift():
@@ -599,9 +539,6 @@ def test_general_grammar_rejects_trailing_bits():
 
 def test_general_grammar_rejects_counts_over_its_limits():
     # Complete bodies at each limit parse; one more is rejected.
-    def gamma(n):
-        return "0" * (n.bit_length() - 1) + bin(n)[2:]
-
     def body(extra, states, rules=()):
         return gamma(extra + 1) + gamma(states) + gamma(len(rules) + 1) + "".join(rules)
 
@@ -759,8 +696,8 @@ def test_universal_diverger_fast_path_matches_honest_simulation():
     # bit-identical to honestly stepping it.
     for budget in (2, 3, 10, 57):
         fast = universal_run("01", "", budget)
-        outcome, _, _, steps = honest_prefix_run(diverger_machine(), "", "",
-                                                 budget - 2)
+        outcome, _, _, steps = honest_prefix_results(diverger_machine(), "", "",
+                                                     budget - 2)[-1]
         assert fast.outcome == BUDGET_EXCEEDED
         assert fast.steps == budget
         assert fast.program == "01"

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import inputs_up_to
+from oracles import inputs_up_to, ranges_overlap
 from revlab.corpus import BINARY, corpus, corpus_entry
 from revlab.machfmt import serialize_machine
 from revlab.machines import (
@@ -17,7 +17,6 @@ from revlab.machines import (
     ShiftRule,
     initial_configuration,
     normalize_to_quadruples,
-    ranges_overlap,
     run,
     run_from,
     step,

@@ -74,6 +74,15 @@ def _check_tape_number(tape: int, expected: int, what: str, line_no: int) -> Non
         raise MachineFormatError(line_no, f"{what} {tape} out of order, expected {expected}")
 
 
+def _one_int(fields: list[str], line_no: int) -> int:
+    """The integer of a ``<key> <integer>`` line."""
+    try:
+        (value,) = fields[1:]
+        return int(value)
+    except ValueError:
+        raise MachineFormatError(line_no, f"{fields[0]} takes one integer") from None
+
+
 def parse_machine(text: str) -> Machine | QuintupleMachine:
     """Parse a machine file.  Returns a QuintupleMachine when any
     ``quintuple`` line is present (mixing rule styles is rejected)."""
@@ -98,10 +107,7 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
                 raise MachineFormatError(line_no, "machine takes one name")
             name = fields[1]
         elif key == "tapes":
-            try:
-                tape_count = int(fields[1])
-            except (IndexError, ValueError):
-                raise MachineFormatError(line_no, "tapes takes one integer")
+            tape_count = _one_int(fields, line_no)
             if tape_count < 1:
                 raise MachineFormatError(line_no, f"tapes must be >= 1, got {tape_count}")
         elif key == "alphabet":
@@ -125,10 +131,7 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
         elif key == "halt":
             halts.extend(fields[1:])
         elif key == "output-tape":
-            try:
-                output_tape = int(fields[1])
-            except (IndexError, ValueError):
-                raise MachineFormatError(line_no, "output-tape takes one integer")
+            output_tape = _one_int(fields, line_no)
         elif key == "rule":
             rest = fields[1:]
             if len(rest) != 5 or rest[2] != "->":
@@ -217,9 +220,13 @@ def parse_configuration(text: str) -> Configuration:
         if not line:
             continue
         fields = line.split()
-        if fields[0] == "state" and len(fields) == 2:
+        if fields[0] == "state":
+            if len(fields) != 2:
+                raise MachineFormatError(line_no, "state takes one name")
             state = fields[1]
-        elif fields[0] == "steps" and len(fields) == 2:
+        elif fields[0] == "steps":
+            if len(fields) != 2:
+                raise MachineFormatError(line_no, "steps takes one integer")
             try:
                 steps = int(fields[1])
             except ValueError:

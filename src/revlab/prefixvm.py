@@ -49,7 +49,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, TypeVar
 
 from .machines import (  # the outcome names are re-exported
     BUDGET_EXCEEDED,
@@ -131,21 +131,22 @@ PROG_SYMS = ("0", "1")
 
 
 def _prefix_machine(name: str, work_extra: Iterable[str], rules: list[Rule],
-                    start: str, states: Iterable[str]) -> Machine:
+                    start: str) -> Machine:
+    """A prefix machine with the start state and the states its rules name."""
     work = Alphabet(frozenset({"0", "1", BIT_BLANK, *work_extra}), BIT_BLANK)
-    all_states, halt = rule_states(rules, states)
-    return Machine(name, (BITS, BITS, work, BITS), all_states,
+    states, halt = rule_states(rules, (start,))
+    return Machine(name, (BITS, BITS, work, BITS), states,
                    start, halt, tuple(rules), output_tape=4)
 
 
 def diverger_machine() -> Machine:
     return _prefix_machine(
         "diverger", (), [ShiftRule("spin", (0, 0, 0, 0), "spin")],
-        "spin", ("spin",))
+        "spin")
 
 
 def halt_machine() -> Machine:
-    return _prefix_machine("halt", (), [], "h", ("h",))
+    return _prefix_machine("halt", (), [], "h")
 
 
 def print_machine() -> Machine:
@@ -174,7 +175,7 @@ def print_machine() -> Machine:
             ("0", a, BIT_BLANK, BIT_BLANK), "spin"))
     rules.append(ShiftRule("m2", (1, 0, 0, 1), "r1"))
     rules.append(ShiftRule("spin", (0, 0, 0, 0), "spin"))
-    return _prefix_machine("print", (), rules, "r1", ("r1", "done", "spin"))
+    return _prefix_machine("print", (), rules, "r1")
 
 
 def copy3_machine() -> Machine:
@@ -188,7 +189,7 @@ def copy3_machine() -> Machine:
                     (b, a, BIT_BLANK, b), nxt))
         if n < 3:
             rules.append(ShiftRule(f"d{n}", (1, 0, 0, 1), f"c{n + 1}"))
-    return _prefix_machine("copy3", (), rules, "c1", ("c1", "done"))
+    return _prefix_machine("copy3", (), rules, "c1")
 
 
 def slow_repeater_machine(emit: str) -> Machine:
@@ -233,8 +234,7 @@ def slow_repeater_machine(emit: str) -> Machine:
     rules.append(ShiftRule("dhm", (0, 0, -1, 0), "dh"))
     rules.append(ShiftRule("di", (1, 0, 0, 0), "rp"))
     rules.append(ShiftRule("cb", (0, 0, 1, 1), "cc"))
-    return _prefix_machine(name, ("Z", "O", "ZM", "OM", "Y"), rules,
-                           "i0", ("i0", "done"))
+    return _prefix_machine(name, ("Z", "O", "ZM", "OM", "Y"), rules, "i0")
 
 
 def aux_copy_machine() -> Machine:
@@ -248,7 +248,7 @@ def aux_copy_machine() -> Machine:
             "a1", (p, BIT_BLANK, BIT_BLANK, BIT_BLANK),
             (p, BIT_BLANK, BIT_BLANK, BIT_BLANK), "done"))
     rules.append(ShiftRule("a2", (0, 1, 0, 1), "a1"))
-    return _prefix_machine("aux_copy", (), rules, "a1", ("a1", "done"))
+    return _prefix_machine("aux_copy", (), rules, "a1")
 
 
 HALT_INDEX = 1
@@ -292,6 +292,9 @@ def is_diverger(m: Machine) -> bool:
 # General description grammar
 
 
+T = TypeVar("T")
+
+
 class _BitReader:
     def __init__(self, bits: str):
         self.bits = bits
@@ -313,6 +316,21 @@ class _BitReader:
                 raise _Malformed()
         return int("1" + self.take(zeros), 2)
 
+    def index(self, count: int) -> int:
+        """A fixed-width index, below ``count``."""
+        width = _width(count)
+        ix = int(self.take(width), 2) if width else 0
+        if ix >= count:
+            raise _Malformed()
+        return ix
+
+    def code(self, table: dict[str, T]) -> T:
+        """A two-bit code, one of ``table``'s keys."""
+        value = table.get(self.take(2))
+        if value is None:
+            raise _Malformed()
+        return value
+
     def done(self) -> bool:
         return self.pos == len(self.bits)
 
@@ -322,7 +340,8 @@ class _Malformed(Exception):
 
 
 def _width(n: int) -> int:
-    return max(1, (n - 1).bit_length()) if n > 1 else 0
+    """Bits of a fixed-width index below n >= 1: ceil(log2(n))."""
+    return (n - 1).bit_length()
 
 
 _AUX_CODE = {"00": "0", "01": "1", "10": BIT_BLANK}
@@ -334,73 +353,34 @@ def _work_symbols(extra: int) -> list[str]:
 
 
 def _parse_general(body: str) -> Machine | None:
+    r = _BitReader(body)
     try:
-        r = _BitReader(body)
         extra = r.gamma() - 1
         n_states = r.gamma()
         n_rules = r.gamma() - 1
         if extra > 64 or n_states > 4096 or n_rules > 16384:
             return None
         work = _work_symbols(extra)
-        wwidth = _width(len(work))
-        swidth = _width(n_states)
-        states = [f"s{n}" for n in range(n_states)]
-
-        def state() -> str:
-            ix = int(r.take(swidth), 2) if swidth else 0
-            if ix >= n_states:
-                raise _Malformed()
-            return states[ix]
-
-        def aux_sym() -> str:
-            code = r.take(2)
-            if code not in _AUX_CODE:
-                raise _Malformed()
-            return _AUX_CODE[code]
-
-        def work_sym() -> str:
-            ix = int(r.take(wwidth), 2) if wwidth else 0
-            if ix >= len(work):
-                raise _Malformed()
-            return work[ix]
-
-        def move() -> int:
-            code = r.take(2)
-            if code not in _MOVE_CODE:
-                raise _Malformed()
-            return _MOVE_CODE[code]
-
         rules: list[Rule] = []
         for _ in range(n_rules):
             kind = r.take(1)
-            frm, to = None, None
+            frm = f"s{r.index(n_states)}"
             if kind == "0":
-                frm = state()
                 p = r.take(1)
-                a_r, a_w = aux_sym(), aux_sym()
-                w_r, w_w = work_sym(), work_sym()
-                o_r, o_w = aux_sym(), aux_sym()
-                to = state()
-                rules.append(ReadWriteRule(
-                    frm, (p, a_r, w_r, o_r), (p, a_w, w_w, o_w), to))
+                aux = r.code(_AUX_CODE), r.code(_AUX_CODE)
+                cell = work[r.index(len(work))], work[r.index(len(work))]
+                out = r.code(_AUX_CODE), r.code(_AUX_CODE)
+                reads, writes = zip((p, p), aux, cell, out)  # (read, write) pairs
+                rules.append(ReadWriteRule(frm, reads, writes, f"s{r.index(n_states)}"))
             else:
-                frm = state()
-                p_move = 1 if r.take(1) == "1" else 0
-                moves = (p_move, move(), move(), move())
-                to = state()
-                rules.append(ShiftRule(frm, moves, to))
-        if not r.done():
-            return None
-    except (_Malformed, ValueError):
+                moves = (int(r.take(1)), r.code(_MOVE_CODE),
+                         r.code(_MOVE_CODE), r.code(_MOVE_CODE))
+                rules.append(ShiftRule(frm, moves, f"s{r.index(n_states)}"))
+    except _Malformed:
         return None
-
-    work_alpha = Alphabet(frozenset(_work_symbols(extra)), BIT_BLANK)
-    all_states, halt = rule_states(rules, states)
-    m = Machine(f"t_{_GENERAL_PREFIX}{body}"[:40], (BITS, BITS, work_alpha, BITS),
-                all_states, "s0", halt, tuple(rules), output_tape=4)
-    if domain_conflicts(m.rules):
+    if not r.done() or domain_conflicts(rules):
         return None
-    return m
+    return _prefix_machine(f"t_{_GENERAL_PREFIX}{body}"[:40], work[3:], rules, "s0")
 
 
 @lru_cache(maxsize=4096)

@@ -7,7 +7,6 @@ Criteria 5-8 share one laboratory at (L=14, D=100000).
 
 import io
 import json
-import math
 from contextlib import contextmanager, redirect_stdout
 
 import pytest

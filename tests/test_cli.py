@@ -122,7 +122,7 @@ def test_rev_verify_exit_codes(capsys, corpus_dir):
 
 
 def test_rev_reverse_roundtrip(capsys, corpus_dir, tmp_path):
-    from revlab.machfmt import parse_machine, serialize_configuration
+    from revlab.machfmt import serialize_configuration
     from revlab.machines import run
     from revlab.reversal import bennett_transform
 
@@ -190,6 +190,24 @@ def test_univ_run_and_enumerate(capsys):
 
     rc, lines, _ = run_cli(capsys, ["univ", "enumerate", "--index", "0"])
     assert lines[0]["payload"]["diverger"] is True
+
+
+def test_univ_enumerate_lists_only_the_states_a_general_machine_names(capsys):
+    # Description 11110101: a general header of two states and no rules.
+    rc, lines, _ = run_cli(capsys, ["univ", "enumerate", "--index", "500"])
+    assert rc == EXIT_OK
+    assert lines[0]["payload"]["machine"] == "".join(line + "\n" for line in [
+        "machine t_11110101",
+        "tapes 4",
+        "alphabet 1 blank _ symbols 0 1 _",
+        "alphabet 2 blank _ symbols 0 1 _",
+        "alphabet 3 blank _ symbols 0 1 _",
+        "alphabet 4 blank _ symbols 0 1 _",
+        "states s0",
+        "start s0",
+        "halt s0",
+        "output-tape 4",
+    ])
 
 
 def test_univ_run_accepts_hex_bits(capsys):

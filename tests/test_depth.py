@@ -168,6 +168,21 @@ def test_long_incompressible_producer_exists_report(lab):
     assert any(found.values())
 
 
+def test_every_short_producer_has_excess_zero(lab):
+    # A characterization of the reference machine, not a requirement: no
+    # program for an x with |x| <= 10 is compressible by a shorter program,
+    # so at every b the general variant admits every producer and f-gen is
+    # 0 by construction.  A richer general grammar is meant to flip this.
+    budget = Budget(26, 100_000)
+    histogram = Counter()
+    for x in bit_strings(10):
+        excess, _ = lab._excess(lab._staircases(x, budget, ""), budget)
+        histogram.update(excess.values())
+    assert histogram == {0: 2113}, (
+        f"producer excess histogram {dict(histogram)}: a producer with excess "
+        ">= 1 meets ROADMAP item 22 (b); update docs/depth.md and README")
+
+
 # --- logical depth -----------------------------------------------------------------
 
 def test_depth_monotone_in_significance(lab):

@@ -140,6 +140,7 @@ def test_good_machine_lines_parse():
     (1, "machine x y", "machine takes one name"),
     (2, "tapes", "tapes takes one integer"),
     (2, "tapes one", "tapes takes one integer"),
+    (2, "tapes 1 2", "tapes takes one integer"),
     (2, "tapes 0", "tapes must be >= 1"),
     (3, "alphabet one blank _ symbols 0 1", "bad tape number 'one'"),
     (3, "alphabet 1 blank _", "expected: alphabet"),
@@ -147,16 +148,17 @@ def test_good_machine_lines_parse():
     (5, "start s t", "start takes one state"),
     (7, "output-tape", "output-tape takes one integer"),
     (7, "output-tape last", "output-tape takes one integer"),
+    (7, "output-tape 1 1", "output-tape takes one integer"),
     (8, "rule s 0 1 t", "expected: rule"),
     (8, "rule s 0 => 1 t", "expected: rule"),
     (8, "quintuple s 0 -> 1 t", "expected: quintuple"),
     (8, "quintuple s 0 => 1 +1 t", "expected: quintuple"),
     (8, "quintuple s 0 -> 1 2 t", "bad shift component '2'"),
 ], ids=["machine-bare", "machine-two", "tapes-bare", "tapes-word",
-        "tapes-zero", "alphabet-tape", "alphabet-short", "start-bare",
-        "start-two", "output-bare", "output-word", "rule-arity",
-        "rule-arrow", "quintuple-arity", "quintuple-arrow",
-        "quintuple-shift"])
+        "tapes-two", "tapes-zero", "alphabet-tape", "alphabet-short",
+        "start-bare", "start-two", "output-bare", "output-word",
+        "output-two", "rule-arity", "rule-arrow", "quintuple-arity",
+        "quintuple-arrow", "quintuple-shift"])
 def test_parse_rejects_bad_line_with_its_number(line_no, bad, message):
     lines = list(GOOD_MACHINE)
     lines[line_no - 1] = bad
@@ -195,13 +197,15 @@ def test_comments_and_blank_lines_are_ignored():
 
 @pytest.mark.parametrize("lines, line_no, message", [
     (["state s", "steps many"], 2, "bad step count 'many'"),
+    (["state s", "steps 1 2"], 2, "steps takes one integer"),
+    (["state a b", "steps 0"], 1, "state takes one name"),
     (["state s", "tape 1 head 0 cells"], 2, "expected: tape <n>"),
     (["state s", "tape 1 at 0 cells 0"], 2, "expected: tape <n>"),
     (["state s", "tape one head 0 cells 0"], 2, "bad tape or head"),
     (["state s", "tape 1 head zero cells 0"], 2, "bad tape or head"),
     (["state s", "heads 0"], 2, "unknown directive 'heads'"),
     (["steps 0", "tape 1 head 0 cells 0"], 0, "missing 'state' line"),
-], ids=["steps", "tape-short", "tape-words", "tape-number", "head",
+], ids=["steps", "steps-two", "state-two", "tape-short", "tape-words", "tape-number", "head",
         "directive", "no-state"])
 def test_configuration_rejects_bad_line_with_its_number(lines, line_no, message):
     with pytest.raises(MachineFormatError) as err:

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from revlab.machines import (
-    Alphabet,
     BUDGET_EXCEEDED,
     Configuration,
     HALTED,

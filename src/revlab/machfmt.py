@@ -74,6 +74,15 @@ def _check_tape_number(tape: int, expected: int, what: str, line_no: int) -> Non
         raise MachineFormatError(line_no, f"{what} {tape} out of order, expected {expected}")
 
 
+def _once(key: str, line_no: int, seen: dict[str, int]) -> None:
+    """Note header ``key`` on ``line_no``: a second line of it would
+    silently replace the first, so it is a parse error."""
+    if key in seen:
+        raise MachineFormatError(
+            line_no, f"repeated {key!r} line, first on line {seen[key]}")
+    seen[key] = line_no
+
+
 def _one_int(fields: list[str], line_no: int) -> int:
     """The integer of a ``<key> <integer>`` line."""
     try:
@@ -95,6 +104,7 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
     output_tape = 0
     quad_rules: list[Rule] = []
     quint_rules: list[QuintupleRule] = []
+    seen: dict[str, int] = {}  # header -> its line
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -102,6 +112,8 @@ def parse_machine(text: str) -> Machine | QuintupleMachine:
             continue
         fields = line.split()
         key = fields[0]
+        if key in ("machine", "tapes", "start", "output-tape"):
+            _once(key, line_no, seen)
         if key == "machine":
             if len(fields) != 2:
                 raise MachineFormatError(line_no, "machine takes one name")
@@ -215,11 +227,14 @@ def parse_configuration(text: str) -> Configuration:
     steps = 0
     tapes: list[tuple[str, ...]] = []
     heads: list[int] = []
+    seen: dict[str, int] = {}  # header -> its line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
+        if fields[0] in ("state", "steps"):
+            _once(fields[0], line_no, seen)
         if fields[0] == "state":
             if len(fields) != 2:
                 raise MachineFormatError(line_no, "state takes one name")

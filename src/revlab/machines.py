@@ -16,19 +16,25 @@ injective, so machines meant to run backwards must never trigger it
 Output of a run is the maximal blank-free prefix of the designated
 output tape.  Halting means no rule applies; declared halt states are a
 convenience subset that must have no outgoing rules.
+
+Rules, configurations, run results and reports are ``NamedTuple``s:
+immutable values, equal when their type's fields are, which no code
+compares with a bare tuple or with a record of another type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class MachineError(Exception):
     """A machine is structurally unusable for the requested operation."""
 
 
+# A dataclass, not a NamedTuple: ``__post_init__`` checks the blank, and a
+# NamedTuple can run no code when it is built.
 @dataclass(frozen=True)
 class Alphabet:
     """Finite symbol set for one tape with a designated blank."""
@@ -55,8 +61,7 @@ def fmt_moves(moves: tuple[int, ...]) -> str:
     return ",".join(f"{m:+d}" if m else "0" for m in moves) if moves else "-"
 
 
-@dataclass(frozen=True)
-class ReadWriteRule:
+class ReadWriteRule(NamedTuple):
     from_state: str
     reads: tuple[str, ...]
     writes: tuple[str, ...]
@@ -68,8 +73,7 @@ class ReadWriteRule:
                 f"{fmt_tuple(self.writes)} {self.to_state}")
 
 
-@dataclass(frozen=True)
-class ShiftRule:
+class ShiftRule(NamedTuple):
     from_state: str
     moves: tuple[int, ...]
     to_state: str
@@ -82,6 +86,8 @@ class ShiftRule:
 Rule = Union[ReadWriteRule, ShiftRule]
 
 
+# A dataclass, not a NamedTuple: the compiled forms and the hash below are
+# cached in the instance ``__dict__``, which a NamedTuple does not have.
 @dataclass(frozen=True)
 class Machine:
     """Immutable quadruple machine description.
@@ -121,15 +127,13 @@ class Machine:
         return self._hash
 
 
-@dataclass(frozen=True)
-class RuleConflict:
+class RuleConflict(NamedTuple):
     first: int
     second: int
     reason: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     machine: str
     errors: tuple[str, ...]
     conflicts: tuple[RuleConflict, ...]
@@ -295,8 +299,7 @@ def _strip(cells: tuple[str, ...], blank: str) -> tuple[str, ...]:
     return cells[:end]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     """Machine snapshot.  Tapes are stored with trailing blanks stripped so
     that equal configurations compare equal."""
 
@@ -325,8 +328,7 @@ def initial_configuration(m: Machine, input_symbols: str | tuple[str, ...]) -> C
     return Configuration.make(m.start_state, tapes, (0,) * m.tape_count, 0, m.blanks())
 
 
-@dataclass(frozen=True)
-class _ExecTable:
+class _ExecTable(NamedTuple):
     """Each machine compiled once into the form :func:`execute` steps.
 
     Rules are sparse: a ReadWrite entry lists only the cells its write
@@ -484,8 +486,7 @@ BUDGET_EXCEEDED = "budget-exceeded"
 TAPE_EXHAUSTED = "tape-exhausted"
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     outcome: str
     final: Configuration
     steps: int
@@ -673,8 +674,7 @@ def trace_run(m: Machine, input_symbols: str | tuple[str, ...],
 # Quintuple (combined write-and-shift) machines
 
 
-@dataclass(frozen=True)
-class QuintupleRule:
+class QuintupleRule(NamedTuple):
     from_state: str
     reads: tuple[str, ...]
     writes: tuple[str, ...]
@@ -682,8 +682,7 @@ class QuintupleRule:
     to_state: str
 
 
-@dataclass(frozen=True)
-class QuintupleMachine:
+class QuintupleMachine(NamedTuple):
     name: str
     alphabets: tuple[Alphabet, ...]
     states: frozenset[str]

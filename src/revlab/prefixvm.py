@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
 from typing import Iterable, NamedTuple, TypeVar
@@ -72,8 +71,7 @@ BIT_BLANK = "_"
 BITS = Alphabet.of("0", "1", blank=BIT_BLANK)
 
 
-@dataclass(frozen=True)
-class PrefixRunResult:
+class PrefixRunResult(NamedTuple):
     outcome: str
     program: str
     output: str
@@ -505,8 +503,7 @@ def resume_run(paused: PausedRun, bits: str,
 # The universal interpreter
 
 
-@dataclass(frozen=True)
-class UniversalMachine:
+class UniversalMachine(NamedTuple):
     digest: str
 
 

@@ -52,9 +52,8 @@ No corpus machine clamps.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .machfmt import serialize_machine
 from .machines import (
@@ -95,8 +94,7 @@ class TransformRefusal(MachineError):
     """Input machine not in the form bennett_transform accepts."""
 
 
-@dataclass(frozen=True)
-class ReversibilityReport:
+class ReversibilityReport(NamedTuple):
     machine: str
     conflicts: tuple[RuleConflict, ...]
 
@@ -153,8 +151,7 @@ def invert(m: Machine) -> Machine:
     )
 
 
-@dataclass(frozen=True)
-class BennettMachine:
+class BennettMachine(NamedTuple):
     machine: Machine
     source_digest: str
 

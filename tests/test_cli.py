@@ -36,6 +36,46 @@ def test_no_arguments_is_usage_error(capsys):
     assert rc == EXIT_USAGE
 
 
+TOP_USAGE = "usage: revlab [-h] {machine,rev,univ,depth,corpus} ...\n"
+DEPTH_USAGE = "usage: revlab depth [-h] {k,ld,table} ...\n"
+
+
+@pytest.mark.parametrize("argv, want_rc, want_out, want_err", [
+    (["--help"], EXIT_OK, TOP_USAGE + """
+Reversible machine toolkit and logical-depth laboratory
+
+positional arguments:
+  {machine,rev,univ,depth,corpus}
+    machine             validate and run machine files
+    rev                 reversibility operations
+    univ                universal interpreter
+    depth               budget-bounded complexity and depth
+    corpus              bundled machine corpus
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["depth", "--help"], EXIT_OK, DEPTH_USAGE + """
+positional arguments:
+  {k,ld,table}
+
+options:
+  -h, --help    show this help message and exit
+""", ""),
+    (["depth"], EXIT_USAGE, "", DEPTH_USAGE
+     + "revlab depth: error: the following arguments are required: cmd\n"),
+    (["nosuch"], EXIT_USAGE, "", TOP_USAGE
+     + "revlab: error: argument group: invalid choice: 'nosuch' (choose from "
+       "'machine', 'rev', 'univ', 'depth', 'corpus')\n"),
+], ids=["help", "depth-help", "depth-no-command", "unknown-group"])
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, want_rc,
+                                          want_out, want_err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert main(argv) == want_rc
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (want_out, want_err)
+
+
 def test_validate_corpus_flipper(capsys, corpus_dir):
     rc, lines, _ = run_cli(capsys, ["machine", "validate",
                                     str(corpus_dir / "flipper.tm")])
@@ -159,16 +199,18 @@ def test_rev_reverse_roundtrip(capsys, corpus_dir, tmp_path):
 def test_rev_reverse_rejects_impossible_configurations(capsys, tmp_path,
                                                        snapshot, want):
     # A negative head or a misnumbered tape is a parse error; a tape
-    # count other than the machine's, a state the machine lacks (the
-    # snapshot's last state line wins) and a cell outside its tape's
-    # alphabet are invalid configurations.  None may read a cell.
+    # count other than the machine's, a state the machine lacks (a
+    # snapshot with a state line replaces the start state's) and a cell
+    # outside its tape's alphabet are invalid configurations.  None may
+    # read a cell.
     from revlab.reversal import bennett_transform
 
     bm = bennett_transform(corpus_entry("flipper").machine)
     machine_file = tmp_path / "rev.tm"
     machine_file.write_text(serialize_machine(bm.machine))
     config_file = tmp_path / "bad.cfg"
-    config_file.write_text(f"state {bm.machine.start_state}\nsteps 0\n" + snapshot)
+    state = "" if snapshot.startswith("state ") else f"state {bm.machine.start_state}\n"
+    config_file.write_text(state + "steps 0\n" + snapshot)
     rc, lines, err = run_cli(capsys, [
         "rev", "reverse", str(machine_file),
         "--from", str(config_file), "--budget", "5"])

@@ -154,11 +154,16 @@ def test_good_machine_lines_parse():
     (8, "quintuple s 0 -> 1 t", "expected: quintuple"),
     (8, "quintuple s 0 => 1 +1 t", "expected: quintuple"),
     (8, "quintuple s 0 -> 1 2 t", "bad shift component '2'"),
+    (4, "machine y", "repeated 'machine' line, first on line 1"),
+    (3, "tapes 1", "repeated 'tapes' line, first on line 2"),
+    (6, "start t", "repeated 'start' line, first on line 5"),
+    (8, "output-tape 1", "repeated 'output-tape' line, first on line 7"),
 ], ids=["machine-bare", "machine-two", "tapes-bare", "tapes-word",
         "tapes-two", "tapes-zero", "alphabet-tape", "alphabet-short",
         "start-bare", "start-two", "output-bare", "output-word",
         "output-two", "rule-arity", "rule-arrow", "quintuple-arity",
-        "quintuple-arrow", "quintuple-shift"])
+        "quintuple-arrow", "quintuple-shift", "machine-repeated",
+        "tapes-repeated", "start-repeated", "output-repeated"])
 def test_parse_rejects_bad_line_with_its_number(line_no, bad, message):
     lines = list(GOOD_MACHINE)
     lines[line_no - 1] = bad
@@ -205,8 +210,11 @@ def test_comments_and_blank_lines_are_ignored():
     (["state s", "tape 1 head zero cells 0"], 2, "bad tape or head"),
     (["state s", "heads 0"], 2, "unknown directive 'heads'"),
     (["steps 0", "tape 1 head 0 cells 0"], 0, "missing 'state' line"),
+    (["state a", "steps 1", "state b"], 3, "repeated 'state' line, first on line 1"),
+    (["state s", "steps 1", "# a note", "steps 5"], 4,
+     "repeated 'steps' line, first on line 2"),
 ], ids=["steps", "steps-two", "state-two", "tape-short", "tape-words", "tape-number", "head",
-        "directive", "no-state"])
+        "directive", "no-state", "state-repeated", "steps-repeated"])
 def test_configuration_rejects_bad_line_with_its_number(lines, line_no, message):
     with pytest.raises(MachineFormatError) as err:
         parse_configuration("\n".join(lines) + "\n")

@@ -245,7 +245,7 @@ def test_run_from_matches_step_from_every_configuration():
             configs = list(trace_run(em, w, 400))
             assert_run_from_matches_stepping(em, configs, ks)
             if step(em, configs[-1]) is None:
-                back = honest_trace(inv, replace(configs[-1], steps=0), 400)
+                back = honest_trace(inv, configs[-1]._replace(steps=0), 400)
                 assert_run_from_matches_stepping(inv, back, ks)
 
 

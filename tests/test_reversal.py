@@ -122,7 +122,7 @@ def test_emulator_is_verified_once(monkeypatch):
     full = run(bm.machine, "101", 100_000)
     back = run_reverse(bm, full.final, full.steps)
     assert back.steps == full.steps
-    assert replace(back.final, steps=0) == initial_configuration(bm.machine, "101")
+    assert back.final._replace(steps=0) == initial_configuration(bm.machine, "101")
     assert calls == []
     # Failures are not cached: each call raises again.
     nonrev = corpus_entry("nonrev_fixture").machine

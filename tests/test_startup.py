@@ -47,19 +47,15 @@ def test_only_the_listed_types_are_dataclasses():
     assert sorted(d for f in files for d in dataclasses_in(f)) == sorted(DATACLASSES)
 
 
-def _fresh(code: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60, check=False)
-
-
 def test_cli_imports_the_corpus_only_for_corpus_commands():
-    done = _fresh(
-        "import sys\n"
-        "from revlab import cli\n"
-        "print('revlab.corpus' in sys.modules, flush=True)\n"
-        "rc = cli.main(['corpus', 'list'])\n"
-        "print(rc, 'revlab.corpus' in sys.modules)\n")
+    code = ("import sys\n"
+            "from revlab import cli\n"
+            "print('revlab.corpus' in sys.modules, flush=True)\n"
+            "rc = cli.main(['corpus', 'list'])\n"
+            "print(rc, 'revlab.corpus' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=False)
     assert done.returncode == 0, done.stderr
     first, *listed, last = done.stdout.splitlines()
     assert first == "False"

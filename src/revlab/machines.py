@@ -275,15 +275,22 @@ def validate_machine(m: Machine) -> ValidationReport:
     The conflict list is empty iff the machine is forward deterministic.
     Unreachable states are informational and never fail validation.
     """
+    return validity(m)._replace(
+        unreachable_states=tuple(sorted(m.states - _reachable_states(m))))
+
+
+def validity(m: Machine) -> ValidationReport:
+    """:func:`validate_machine`'s report without its unreachable states
+    (left empty): all that decides ``ok``, for callers that only accept
+    or reject ``m`` and so need no walk of its state graph."""
     errors = _structural_errors(m)
     conflicts = domain_conflicts(m.rules) if not errors else []
-    unreachable = tuple(sorted(m.states - _reachable_states(m)))
-    return ValidationReport(m.name, tuple(errors), tuple(conflicts), unreachable)
+    return ValidationReport(m.name, tuple(errors), tuple(conflicts), ())
 
 
 def check_valid(m: Machine) -> None:
     """Raise MachineError naming why ``validate_machine`` rejects ``m``."""
-    report = validate_machine(m)
+    report = validity(m)
     if not report.ok:
         raise MachineError(f"machine {m.name!r} invalid: {report.problems}")
 
@@ -344,7 +351,8 @@ class _ExecTable(NamedTuple):
     (i, d, cells), where ``cells`` maps the symbol under head i to the
     symbol written, for every entry of S through the same T with the
     same reads on the other tapes (one shared dict), so :func:`execute`
-    can step cell after cell without returning to its dispatch.  The
+    can step cell after cell without returning to its dispatch, and
+    cover a long scan a slice at a time (see :func:`_scan_ahead`).  The
     field is None on every other entry.
 
     A ReadWrite entry's fourth field fuses it with the shift it always
@@ -505,6 +513,52 @@ def output_of(m: Machine, c: Configuration) -> str:
                              m.alphabets[m.output_index].blank)
 
 
+# Cells a scan loop steps one by one before :func:`_scan_ahead` takes
+# over: a call costs about what 20 cells cost stepped, so the many short
+# scans of small machines stay stepped.
+_SCAN_LEAD = 8
+
+
+def _scan_ahead(tape: list[str], h: int, d: int, left: int,
+                cells: dict[str, str]) -> int:
+    """Apply a scan loop's cell map from head ``h`` on, moving by ``d``,
+    for at most ``left`` cells and up to the first cell it has no entry
+    for; return how many cells it covered.
+
+    It covers only cells whose move neither appends nor clamps: with
+    d = +1 it stops before the tape's last cell, with d = -1 before cell
+    0, and leaves those to the caller.  The cells go a slice at a time.
+    Each slice is searched at C speed for its first symbol outside
+    ``cells`` (the stop symbols come from the slice, not the alphabet),
+    and is rewritten in one slice assignment unless the map is the
+    identity.  Slices grow fourfold from 32 cells, four times the cells
+    stepped before, so a scan reads at most about four times the cells
+    it covers, however long the tape.
+    """
+    span = min(left, len(tape) - 1 - h if d > 0 else h)
+    rewrites = any(a != b for a, b in cells.items())
+    covered = 0
+    size = 32
+    while covered < span:
+        k = min(size, span - covered)
+        seg = tape[h:h + k] if d > 0 else tape[h:h - k:-1]
+        stops = set(seg).difference(cells)
+        if stops:
+            k = min(map(seg.index, stops))
+            del seg[k:]
+            span = covered + k
+        if rewrites:
+            seg = list(map(cells.__getitem__, seg))
+            if d > 0:
+                tape[h:h + k] = seg
+            else:
+                tape[h:h - k:-1] = seg
+        h += d * k
+        covered += k
+        size *= 4
+    return covered
+
+
 def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
             budget: int, bounded: bool = False) -> tuple[str, str, int, int]:
     """Step ``m`` from ``state`` for at most ``budget`` steps, updating
@@ -531,8 +585,15 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
     one inner loop on its tape: per cell it writes, moves (clamping at 0,
     appending a blank past the end) and counts 2 steps, for at most
     half the remaining budget and, on a bounded tape 1, up to the end
-    of the prefix.  It stops in the ReadWrite state, where the loop
-    above goes on, so the result stays that of iterated :func:`step`.
+    of the prefix.  Once a scan has gone ``_SCAN_LEAD`` cells this way,
+    :func:`_scan_ahead` fast-forwards it over the cells whose moves
+    neither clamp nor append, up to the first cell the loop has no rule
+    for, at C speed: slice searches for the stop and slice writes of the
+    map.  The inner loop then finishes the scan cell by cell: the stop
+    cell, the clamp at cell 0, fresh blanks past the end, the prefix end
+    and the symbol under the head.  It stops in the ReadWrite state,
+    where the loop above goes on, so the result stays that of iterated
+    :func:`step`.
 
     Any other ReadWrite entry whose fourth field is set writes, counts
     its step and, if budget is left, applies its successor's shift in the
@@ -581,6 +642,7 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
                 n = left = (budget - taken) // 2
                 if bounded and not i:  # stop where the prefix ends
                     n = left = min(n, limit - h)
+                ahead = left - _SCAN_LEAD
                 while left:
                     w = cells.get(tape[h])
                     if w is None:
@@ -592,6 +654,10 @@ def execute(m: Machine, state: str, tapes: list[list[str]], heads: list[int],
                     elif h == len(tape):
                         tape.append(blanks[i])
                     left -= 1
+                    if left == ahead:  # a long scan: fast-forward it
+                        k = _scan_ahead(tape, h, d, left, cells)
+                        h += d * k
+                        left -= k
                 heads[i] = h
                 under[i] = tape[h]
                 if bounded and not i:  # one past the last program cell read

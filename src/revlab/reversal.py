@@ -71,7 +71,7 @@ from .machines import (
     range_conflicts,
     rule_states,
     run_from,
-    validate_machine,
+    validity,
 )
 
 # Linear emulation constants, fixed once from the construction above.
@@ -174,7 +174,7 @@ def bennett_transform(m: Machine) -> BennettMachine:
         raise TransformRefusal("quintuple machine: normalize_to_quadruples first")
     if m.tape_count != 1:
         raise TransformRefusal(f"need a 1-tape machine, got {m.tape_count} tapes")
-    report = validate_machine(m)
+    report = validity(m)
     if not report.ok:
         raise TransformRefusal(f"source machine invalid: {report.problems}")
 

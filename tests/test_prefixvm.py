@@ -4,7 +4,7 @@ import ast
 import hashlib
 import re
 from collections import Counter
-from itertools import product
+from itertools import groupby, product
 from pathlib import Path
 
 import pytest
@@ -335,6 +335,13 @@ def scan_machines():
     # A flipping scan that halts on the first blank.
     flip = one_tape("flip", "S", [
         rw1("S", "0", "1", "T"), rw1("S", "1", "0", "T"), ShiftRule("T", (1,), "S")])
+    # Identity scans: rightwards over 0s and blanks, each 1 rewritten to
+    # 0 by a one-cell loop of its own; leftwards over 0s, clamping at 0.
+    right = one_tape("right_identity", "R", [
+        rw1("R", "0", "0", "T"), rw1("R", "_", "_", "T"), ShiftRule("T", (1,), "R"),
+        rw1("R", "1", "0", "U"), ShiftRule("U", (1,), "R")])
+    left = one_tape("left_identity", "L", [
+        rw1("L", "0", "0", "T"), ShiftRule("T", (-1,), "L")])
     # Two loops of one state on one tape: a and c leave through the
     # right shift, b through the left one; d halts.
     two = one_tape("two_loops", "S", [
@@ -358,10 +365,19 @@ def scan_machines():
         return Configuration.make(m.start_state, tuple(map(tuple, tapes)), heads,
                                   0, m.blanks())
 
+    # The long ones scan 64 cells or more, past where execute stops
+    # stepping cell by cell: identity and rewriting maps both ways, a
+    # clamp at cell 0, stops far ahead (right_identity's first 1, flip's
+    # blank, with cells past it the map would change) and on the tape's
+    # last cell (its second 1), then a scan onto fresh blanks.
     return [
         (clamp, at(clamp, ["0101"], (3,)), 30),
         (fresh, at(fresh, ["00"], (0,)), 31),
         (flip, at(flip, ["0110100"], (0,)), 30),
+        (clamp, at(clamp, ["0110" * 17], (67,)), 140),
+        (flip, at(flip, ["0110100" * 10 + "_" + "0110"], (0,)), 150),
+        (right, at(right, ["0" * 66 + "1000" + "1"], (0,)), 172),
+        (left, at(left, ["0" * 66], (65,)), 136),
         (two, at(two, ["aabbcaad"], (0,)), 60),
         (two_tape, at(two_tape, ["0", "1101"], (0, 0)), 60),
     ]
@@ -445,6 +461,55 @@ def test_scan_loop_matches_honest_stepping():
     # Unbounded runs from every configuration of the trace, every budget.
     for m, c0, n in scan_machines():
         assert_run_from_matches_stepping(m, honest_trace(m, c0, n), range(n + 1))
+
+
+def test_long_prefix_scans_match_honest_stepping():
+    # The slow repeaters walk their work tape in stretches of 120 steps
+    # or more (60 cells and up) from step 5,388 on: at k = 5 one rewriting
+    # left scan, at k = 6 it, then an identity right and an identity left
+    # scan.  Both machines take the same steps on every aux, so the
+    # stretches come from one trace of the first 5,800 steps; budgets cut
+    # each just past execute's first cells one by one, after an odd and
+    # an even number of its steps, and one step short of its end.
+    cap = 5800
+    loops = {s: s[:2] for s in ("dc", "dcm", "dd", "ddm", "dg", "dgm", "dh", "dhm")}
+    zeros, ones = slow_repeater_machine("0"), slow_repeater_machine("1")
+    for k, kinds in ((5, ["dh"]), (6, ["dh", "dc", "dd"])):
+        bits = "0" * k + "1"
+        configs = honest_trace(zeros, prefix_start(zeros, bits, ""), cap)
+        stretches = []
+        for loop, steps in groupby(range(len(configs) - 1),
+                                   key=lambda j: loops.get(configs[j].state)):
+            steps = list(steps)
+            if loop and len(steps) >= 120:
+                stretches.append((loop, steps[0], len(steps)))
+        assert [loop for loop, _, _ in stretches] == kinds
+        budgets = {start + j for _, start, n in stretches
+                   for j in (17, n // 2, n // 2 + 1, n - 1)}
+        for m in (zeros, ones):
+            for aux in ("", "1011"):
+                honest = honest_prefix_results(m, bits, aux, cap)
+                for budget in budgets:
+                    r = run_prefix(m, bits, aux, budget)
+                    assert (r.outcome, r.program, r.output, r.steps) == \
+                        honest[budget], (m.name, bits, aux, budget)
+    # The skipper of the test above, on a 70-bit program prefix: it scans
+    # the program tape to the prefix end, or to a 0 far into it.
+    skipper = four_tape("skipper", "S", [
+        *read_bit("S", "1", "_", "T"), *read_bit("S", "_", "_", "T"),
+        *read_bit("S", "0", "1", "E"),
+        ShiftRule("T", (1, 0, 0, 0), "S"), ShiftRule("E", (1, 0, 0, 1), "S")])
+    for bits in ("1" * 70, "1" * 50 + "0" + "1" * 19):
+        for aux in ("", "1011"):
+            honest = honest_prefix_results(skipper, bits, aux, 200)
+            assert honest[-1] == (TAPE_EXHAUSTED, bits, "1" * bits.count("0"), 140)
+            for budget in range(len(honest) + 2):
+                r = run_prefix(skipper, bits, aux, budget)
+                want = honest[min(budget, len(honest) - 1)]
+                assert (r.outcome, r.program, r.output, r.steps) == want, \
+                    (bits, aux, budget)
+            paused = resume_run(_fresh(skipper, aux, 0), bits, 200)[1]
+            assert (paused.scanned, paused.heads[0]) == (70, 70)
 
 
 def test_prefix_rejects_leftward_program_shift():

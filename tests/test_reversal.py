@@ -115,7 +115,7 @@ def test_emulator_is_verified_once(monkeypatch):
     verify_reversible.cache_clear()
     bm = bennett_transform(corpus_entry("parity").machine)
     calls = []
-    for name in ("validate_machine", "range_conflicts"):
+    for name in ("validity", "range_conflicts"):
         real = getattr(reversal, name)
         monkeypatch.setattr(reversal, name,
                             lambda x, real=real: calls.append(x) or real(x))

@@ -322,14 +322,11 @@ def cmd_corpus_export(args, out: Emitter) -> int:
 
 
 # --- parser --------------------------------------------------------------------
+# One builder per command group, so that main builds only the group a
+# command names: six parsers or fewer instead of all 22.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="revlab",
-        description="Reversible machine toolkit and logical-depth laboratory")
-    sub = parser.add_subparsers(dest="group", required=True)
-
+def _machine_group(sub) -> None:
     running = argparse.ArgumentParser(add_help=False)  # machine run|trace
     running.add_argument("file")
     running.add_argument("--input", default="")
@@ -342,6 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     msub.add_parser("run", parents=[running]).set_defaults(fn=cmd_machine_run)
     msub.add_parser("trace", parents=[running]).set_defaults(fn=cmd_machine_trace)
 
+
+def _rev_group(sub) -> None:
     rev = sub.add_parser("rev", help="reversibility operations")
     rsub = rev.add_subparsers(dest="cmd", required=True)
     rv = rsub.add_parser("verify")
@@ -357,6 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     rr.add_argument("--budget", type=int, required=True)
     rr.set_defaults(fn=cmd_rev_reverse)
 
+
+def _univ_group(sub) -> None:
     univ = sub.add_parser("univ", help="universal interpreter")
     usub = univ.add_subparsers(dest="cmd", required=True)
     ur = usub.add_parser("run")
@@ -374,6 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     uc.add_argument("--aux", default="")
     uc.set_defaults(fn=cmd_univ_check_prefix)
 
+
+def _depth_group(sub) -> None:
     bounded = argparse.ArgumentParser(add_help=False)  # depth k|ld|table
     bounded.add_argument("--aux", default="")
     bounded.add_argument("--max-len", type=int, required=True)
@@ -397,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="f only (default reversible)")
     dt.set_defaults(fn=cmd_depth_table)
 
+
+def _corpus_group(sub) -> None:
     corp = sub.add_parser("corpus", help="bundled machine corpus")
     csub = corp.add_subparsers(dest="cmd", required=True)
     cl = csub.add_parser("list")
@@ -405,23 +410,51 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("directory")
     ce.set_defaults(fn=cmd_corpus_export)
 
+
+_GROUPS = {"machine": _machine_group, "rev": _rev_group, "univ": _univ_group,
+          "depth": _depth_group, "corpus": _corpus_group}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``group`` only of that group's.
+
+    A one-group parser prints the same usage lines and errors as the
+    whole tree for any argv that starts with its group: its group
+    argument's metavar spells out all five groups.  The whole tree keeps
+    the default metavar, because argparse names the argument by its
+    metavar in errors (``argument group: invalid choice``).
+    """
+    parser = argparse.ArgumentParser(
+        prog="revlab",
+        description="Reversible machine toolkit and logical-depth laboratory")
+    sub = parser.add_subparsers(
+        dest="group", required=True,
+        metavar=None if group is None else "{" + ",".join(_GROUPS) + "}")
+    for name, build in _GROUPS.items():
+        if group in (None, name):
+            build(sub)
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+@lru_cache(maxsize=None)
+def _parser(group: str | None) -> argparse.ArgumentParser:
+    return build_parser(group)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    The parser is built once per process, on the first call, and reused:
-    parsing keeps no state between calls, so in-process callers pay only
-    for their own command.
+    The parser is built once per group and process, on the first call
+    whose first argument names that group, and reused: parsing keeps no
+    state between calls, so in-process callers pay only for their own
+    command.  Any other argv (no arguments, ``--help``, an unknown group)
+    gets the whole tree, built once as well.
     """
+    if argv is None:
+        argv = sys.argv[1:]
+    group = argv[0] if argv and argv[0] in _GROUPS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(group).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     out = Emitter()

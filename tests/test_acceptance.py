@@ -81,17 +81,25 @@ def halting_runs(entry, m, max_input_len):
             yield w, src
 
 
-def test_1_bennett_correctness(transforms):
+@pytest.fixture(scope="module")
+def emulated(transforms):
+    """(entry, w, source run, emulator run at budget 10^7) for every
+    halting input of up to 6 symbols: acceptance 1 and 3 read the same
+    runs."""
+    return [(entry, w, src, run(bm.machine, w, 10 ** 7))
+            for entry, m, bm in transforms for w, src in halting_runs(entry, m, 6)]
+
+
+def test_1_bennett_correctness(transforms, emulated):
     with criterion(1, "Bennett correctness on the corpus"):
         assert len(transforms) >= 20
         for entry, m, bm in transforms:
             assert verify_reversible(bm.machine).reversible, entry.name
-            for w, src in halting_runs(entry, m, 6):
-                rev = run(bm.machine, w, 10 ** 7)
-                assert rev.outcome == HALTED, (entry.name, w)
-                assert "".join(rev.final.tapes[0]) == w, (entry.name, w)
-                assert rev.output == src.output, (entry.name, w)
-                assert all(s == "_" for s in rev.final.tapes[1]), (entry.name, w)
+        for entry, w, src, rev in emulated:
+            assert rev.outcome == HALTED, (entry.name, w)
+            assert "".join(rev.final.tapes[0]) == w, (entry.name, w)
+            assert rev.output == src.output, (entry.name, w)
+            assert all(s == "_" for s in rev.final.tapes[1]), (entry.name, w)
 
 
 def test_2_reversal_roundtrip(transforms):
@@ -101,8 +109,15 @@ def test_2_reversal_roundtrip(transforms):
                 full = run(bm.machine, w, 50_000)
                 total = full.steps
                 c0 = initial_configuration(bm.machine, w)
-                for k in sorted({0, 1, total // 2, total}):
-                    fwd = run_from(bm.machine, c0, k)
+                half = run_from(bm.machine, c0, total // 2)
+                # Resumed half way, run_from reaches k = total where run
+                # ended, so ``full`` stands for the forward run to total.
+                rest = run_from(bm.machine, half.final, total - half.steps)
+                assert (rest.outcome, rest.final, rest.output) == \
+                    (full.outcome, full.final, full.output), (entry.name, w)
+                forward = {0: run_from(bm.machine, c0, 0), 1: run_from(bm.machine, c0, 1),
+                           total // 2: half, total: full}
+                for k, fwd in sorted(forward.items()):
                     back = run_reverse(bm, fwd.final, fwd.steps)
                     assert back.steps == fwd.steps, (entry.name, w, k)
                     assert back.final.state == c0.state, (entry.name, w, k)
@@ -110,17 +125,15 @@ def test_2_reversal_roundtrip(transforms):
                     assert back.final.heads == c0.heads, (entry.name, w, k)
 
 
-def test_3_linear_time_emulation(transforms):
+def test_3_linear_time_emulation(emulated):
     with criterion(3, f"linear emulation with (a,b,c)=({LINEAR_A},{LINEAR_B},{LINEAR_C})"):
         checked = 0
-        for entry, m, bm in transforms:
-            for w, src in halting_runs(entry, m, 6):
-                rev = run(bm.machine, w, 10 ** 7)
-                bound = (LINEAR_A * src.steps
-                         + LINEAR_B * (len(w) + len(src.output)) + LINEAR_C)
-                assert rev.outcome == HALTED
-                assert rev.steps <= bound, (entry.name, w, rev.steps, bound)
-                checked += 1
+        for entry, w, src, rev in emulated:
+            bound = (LINEAR_A * src.steps
+                     + LINEAR_B * (len(w) + len(src.output)) + LINEAR_C)
+            assert rev.outcome == HALTED
+            assert rev.steps <= bound, (entry.name, w, rev.steps, bound)
+            checked += 1
         assert checked > 500
 
 

@@ -1,7 +1,10 @@
 """CLI dispatch, envelopes, exit codes, and reproducibility."""
 
+import argparse
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,83 @@ def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv, want_rc,
     assert main(argv) == want_rc
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (want_out, want_err)
+
+
+def readme_cli_lines():
+    """The argv of each ``revlab`` line in the README's CLI block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.strip()]
+    assert {words[0] for words in lines} == {"revlab"}
+    return [words[1:] for words in lines]
+
+
+def test_readme_cli_lines_parse():
+    # Parsed only, not run: a renamed command or option fails here before
+    # the README goes stale.
+    parser = cli.build_parser()
+    argvs = readme_cli_lines()
+    names = {parser.parse_args(argv).fn.__name__ for argv in argvs}
+    assert names == {name for name in dir(cli) if name.startswith("cmd_")}
+    assert len(argvs) == 16
+
+
+def failing_argvs():
+    """Help requests and usage errors at every level of the tree, from
+    the README's command lines."""
+    yield from (["--help"], [], ["nosuch"])
+    for group in cli._GROUPS:
+        yield from ([group, "--help"], [group], [group, "nosuch"])
+    for argv in readme_cli_lines():
+        group, cmd, *rest = argv
+        yield from ([group, cmd, "--help"], argv + ["--bogus"], argv + ["extra"])
+        if rest:
+            yield [group, cmd]
+        for i, arg in enumerate(argv):
+            if arg == "--budget":
+                yield argv[:i] + argv[i + 2:]
+            if arg in ("--budget", "--index", "--max-len", "--n-max", "--b"):
+                yield argv[:i + 1] + ["x"] + argv[i + 2:]
+
+
+def test_a_groups_parser_fails_as_the_whole_tree_does(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    whole = cli.build_parser()
+    cases = 0
+    for argv in failing_argvs():
+        try:
+            whole.parse_args(argv)
+        except SystemExit as exc:
+            want_rc = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            raise AssertionError(f"{argv} parses")
+        want = capsys.readouterr()
+        assert main(argv) == want_rc, argv
+        assert capsys.readouterr() == want, argv
+        cases += 1
+    assert cases == 110
+
+
+def test_a_depth_command_builds_only_its_groups_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.delenv("REVLAB_CACHE", raising=False)
+    cli._parser.cache_clear()
+    argv = ["depth", "k", "0", "--max-len", "4", "--budget", "100"]
+    assert main(argv) == EXIT_OK
+    assert built == ["revlab", None, "revlab depth",
+                     "revlab depth k", "revlab depth ld", "revlab depth table"]
+    assert main(argv) == EXIT_OK
+    assert len(built) == 6
+    cli.build_parser()
+    assert len(built) == 6 + 22
 
 
 def test_validate_corpus_flipper(capsys, corpus_dir):
@@ -580,6 +660,8 @@ def test_unusable_path_is_a_file_error(capsys, tmp_path, argv):
 
 
 def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
+    # Once per group: the four depth calls share one parser, and the univ
+    # call builds its own.
     sequence = [
         ["depth", "k", "0", "--aux", "1011", "--max-len", "8", "--budget", "1000"],
         ["depth", "k", "0", "--max-len", "8", "--budget", "1000"],
@@ -600,10 +682,10 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
     built = []
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser",
-                        lambda: built.append(1) or build_parser())
+                        lambda group: built.append(group) or build_parser(group))
     cli._parser.cache_clear()
     shared = [call(argv) for argv in sequence]
-    assert built == [1]
+    assert built == ["depth", "univ"]
     assert [rc for rc, _, _ in shared] == [EXIT_OK, EXIT_OK, EXIT_OK,
                                            EXIT_USAGE, EXIT_OK]
     assert [env["payload"]["aux"] for env in shared[0][1] + shared[1][1]] == ["1011", ""]
@@ -613,7 +695,7 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
         cli._parser.cache_clear()
         fresh.append(call(argv))
     assert fresh == shared
-    assert len(built) == 1 + len(sequence)
+    assert built == ["depth", "univ"] + [argv[0] for argv in sequence]
 
 
 def test_corpus_list(capsys):
